@@ -148,34 +148,32 @@ def load_study_image(record: StudyRecord, config: PreprocessConfig,
                      cache_dir: Optional[str] = None) -> np.ndarray:
     """Read, convert to Hounsfield units, and preprocess one study.
 
-    ``cache`` is an in-memory dict reused within a single run (keyed by
-    patient id, so use one dict per preprocessing config). ``cache_dir``
-    is a persistent on-disk cache surviving across runs; entries are keyed
-    by patient id *and* config, so changing the config never serves stale
-    pixels.
+    ``cache`` is an in-memory dict reused within a single run, mapping
+    patient id to ``{config: pixels}``, so one dict serves any number of
+    preprocessing configs. ``cache_dir`` is a persistent on-disk cache
+    surviving across runs. Both are keyed by patient id *and* config, so
+    changing the config never serves stale pixels.
     """
-    if cache is not None and record.patient_id in cache:
-        return cache[record.patient_id]
+    if cache is not None and config in cache.get(record.patient_id, ()):
+        return cache[record.patient_id][config]
     disk_path = None
     if cache_dir is not None:
         disk_path = os.path.join(cache_dir, _cache_name(record.patient_id, config))
-        if os.path.exists(disk_path):
-            pixels = np.load(disk_path)
-            if cache is not None:
-                cache[record.patient_id] = pixels
-            return pixels
-    try:
-        volume = read_mha_file(record.volume_path)
-        hounsfield = to_hounsfield(volume)
-        image = preprocess(hounsfield, config, patient_id=record.patient_id)
-    except (MhaError, PreprocessError, OSError) as e:
-        raise ItemError(record.patient_id, str(e)) from e
-    pixels = image.pixels
-    if disk_path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.save(disk_path, pixels)
+    if disk_path is not None and os.path.exists(disk_path):
+        pixels = np.load(disk_path)
+    else:
+        try:
+            volume = read_mha_file(record.volume_path)
+            hounsfield = to_hounsfield(volume)
+            image = preprocess(hounsfield, config, patient_id=record.patient_id)
+        except (MhaError, PreprocessError, OSError) as e:
+            raise ItemError(record.patient_id, str(e)) from e
+        pixels = image.pixels
+        if disk_path is not None:
+            os.makedirs(cache_dir, exist_ok=True)
+            np.save(disk_path, pixels)
     if cache is not None:
-        cache[record.patient_id] = pixels
+        cache.setdefault(record.patient_id, {})[config] = pixels
     return pixels
 
 

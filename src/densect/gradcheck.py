@@ -1,6 +1,6 @@
 """Finite-difference verification of analytic gradients.
 
-Compares every analytic gradient produced by the tape against central
+Compares every analytic gradient produced by ``backward`` against central
 differences (f(x+h) - f(x-h)) / 2h computed in 64-bit arithmetic. The
 agreement measure is the symmetric relative error
 
@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .tensor import Tensor, backward, no_grad, reset_tape
+from .tensor import Tensor, backward, no_grad
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -96,13 +96,10 @@ def grad_check(fn: Callable[[], Tensor], inputs: Mapping[str, Tensor],
             raise ValueError(f"grad_check: input {name!r} must be float64, got {t.data.dtype}")
         t.zero_grad()
 
-    reset_tape()
-    loss = fn()
-    backward(loss)
+    backward(fn())   # the graph is freed as soon as backward returns
     analytic = {}
     for name, t in checked.items():
         analytic[name] = (np.zeros_like(t.data) if t.grad is None else t.grad.copy()).reshape(-1)
-    reset_tape()
 
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tolerance=tolerance)

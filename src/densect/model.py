@@ -20,6 +20,7 @@ every structural element at a tiny fraction of the cost.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -336,8 +337,17 @@ class DenseNetModel:
     # -- checkpointing -----------------------------------------------------
 
     def save_checkpoint(self, path: str):
-        with open(path, "wb") as f:
-            f.write(checkpoint_bytes(self))
+        """Write to a temporary file beside ``path``, then rename it over
+        ``path``, so a failed write leaves any earlier checkpoint intact."""
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(checkpoint_bytes(self))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @staticmethod
     def load_checkpoint(path: str, dtype=np.float32) -> "DenseNetModel":

@@ -3,9 +3,10 @@
 The operator set is exactly what a DenseNet forward pass needs: convolution,
 batch normalization, ReLU, pooling, channel concatenation, a fully-connected
 layer, sigmoid, plus the elementwise/reduction glue used to assemble losses.
-Every differentiable operation carries an analytic backward rule. Operations
-record onto a module-global tape in execution order; ``backward`` replays the
-reversed tape, visiting each node exactly once.
+Every differentiable operation carries an analytic backward rule. A recorded
+output points at its node and a node at its inputs, never forward, so the loss
+owns its graph: ``backward`` replays the nodes it reaches, newest first, each
+exactly once, and dropping the loss frees them by reference counting.
 
 Default element type is float32; pass ``dtype=np.float64`` when building
 tensors for finite-difference verification.
@@ -13,6 +14,7 @@ tensors for finite-difference verification.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ class GeometryError(ValueError):
 
 
 class NoGraphError(RuntimeError):
-    """backward() was called on a tensor that is not attached to a tape."""
+    """backward() was called on a tensor that no recorded operation produced."""
 
 
 class DegenerateStatsError(ValueError):
@@ -38,46 +40,29 @@ class DegenerateStatsError(ValueError):
 
 
 class TapeNode:
-    """One recorded operation: input tensors, output tensor, backward rule.
+    """One recorded operation: input tensors, backward rule, recording order.
 
     The backward rule maps the output gradient to a tuple of input gradients
-    (entries may be None for non-differentiable or grad-free inputs).
+    (entries may be None for non-differentiable or grad-free inputs). ``seq``
+    increases with every recorded operation, so sorting by it gives a
+    topological order.
     """
 
-    __slots__ = ("inputs", "output", "backward_rule", "tape")
+    __slots__ = ("inputs", "backward_rule", "seq")
 
-    def __init__(self, inputs, output, backward_rule, tape):
+    def __init__(self, inputs, backward_rule, seq):
         self.inputs = inputs
-        self.output = output
         self.backward_rule = backward_rule
-        self.tape = tape
+        self.seq = seq
 
 
-class Tape:
-    """Ordered operation record; recording order is topological order."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self):
-        self.nodes: list[TapeNode] = []
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-_active_tape = Tape()
+_sequence = itertools.count()
 _grad_enabled = True
 
 
-def active_tape() -> Tape:
-    return _active_tape
-
-
-def reset_tape() -> Tape:
-    """Discard the active tape and start a fresh one (call once per step)."""
-    global _active_tape
-    _active_tape = Tape()
-    return _active_tape
+def reset_tape():
+    """No-op: graphs are freed with their loss. Kept because the benchmark
+    harness (perfbench/workloads.py) still imports it."""
 
 
 class no_grad:
@@ -99,8 +84,8 @@ class Tensor:
     """A contiguous n-dimensional float array, optionally tracked for autograd.
 
     ``grad`` stays None until backward() populates it; tensors with
-    ``requires_grad=False`` never receive a grad buffer. ``node`` is the tape
-    handle of the operation that produced this tensor (None for leaves).
+    ``requires_grad=False`` never receive a grad buffer. ``node`` is the
+    recorded operation that produced this tensor (None for leaves).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -216,7 +201,7 @@ def _check_elementwise(a: Tensor, b: Tensor, opname: str):
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray,
            backward_rule: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op result, appending a tape node when gradients are tracked.
+    """Wrap an op result, attaching a graph node when gradients are tracked.
 
     ``backward_rule(grad_out)`` must return one gradient (or None) per input,
     each matching that input's shape. This is the extension point for custom
@@ -225,9 +210,7 @@ def record(inputs: Sequence[Tensor], out_data: np.ndarray,
     req = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=req)
     if req:
-        node = TapeNode(tuple(inputs), out, backward_rule, _active_tape)
-        _active_tape.nodes.append(node)
-        out.node = node
+        out.node = TapeNode(tuple(inputs), backward_rule, next(_sequence))
     return out
 
 
@@ -238,13 +221,21 @@ def backward(loss: Tensor):
     tensors are transient; only leaves keep a ``grad`` buffer.
     """
     if loss.node is None:
-        raise NoGraphError("backward: tensor is not attached to a tape (nothing was recorded)")
+        raise NoGraphError("backward: tensor was not produced by a recorded operation "
+                           "(nothing requires grad, or it ran under no_grad)")
     if loss.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
 
-    pending = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(loss.node.tape.nodes):
-        g = pending.pop(id(node.output), None)
+    nodes, stack = {loss.node}, [loss.node]
+    while stack:
+        for t in stack.pop().inputs:
+            if t.node is not None and t.node not in nodes:
+                nodes.add(t.node)
+                stack.append(t.node)
+    # newest first: every node runs after all the nodes that consume its output
+    pending = {loss.node: np.ones_like(loss.data)}
+    for node in sorted(nodes, key=lambda node: -node.seq):
+        g = pending.pop(node, None)
         if g is None:
             continue
         grads = node.backward_rule(g)
@@ -254,8 +245,8 @@ def backward(loss: Tensor):
             if t.node is None:
                 t.grad = np.array(gt, dtype=t.data.dtype) if t.grad is None else t.grad + gt
             else:
-                acc = pending.get(id(t))
-                pending[id(t)] = gt if acc is None else acc + gt
+                acc = pending.get(t.node)
+                pending[t.node] = gt if acc is None else acc + gt
 
 
 def zero_grads(tensors):

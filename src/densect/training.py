@@ -19,7 +19,7 @@ import numpy as np
 from .data import DatasetSplit, StudyRecord, batches, split
 from .model import DENSENET121, DENSENET169, REDUCED, DenseNetModel
 from .preprocess import PreprocessConfig
-from .tensor import ShapeError, Tensor, backward, no_grad, record, reset_tape, stable_sigmoid
+from .tensor import ShapeError, Tensor, backward, no_grad, record, stable_sigmoid
 
 PRESETS = {
     "reduced": REDUCED,
@@ -294,7 +294,6 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
                     epoch=epoch, shuffle_seed=config.seed, cache=cache)):
                 if batch.images.shape[0] == 1 and len(train_records) > 1:
                     continue
-                reset_tape()
                 logits = model.forward(Tensor(batch.images), training=True)
                 loss = bce_with_logits(logits, batch.labels)
                 value = loss.item()
@@ -302,8 +301,8 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
                     raise DivergenceError(epoch, b_index, value, metrics)
                 backward(loss)
                 adam_step(params, state, config.lr)
+                del logits, loss   # frees this step's graph before the next forward
                 batch_losses.append(value)
-            reset_tape()
             train_loss = float(np.mean(batch_losses))
             ev = evaluate(model, val_records, config.preprocess,
                           batch_size=config.batch_size,

@@ -36,7 +36,6 @@ from densect.tensor import (
     linear,
     pool2d,
     relu,
-    reset_tape,
     sigmoid,
 )
 from densect.training import TrainConfig, bce_with_logits, train
@@ -55,13 +54,6 @@ def criterion(number, label, budget_s=None):
         print(f"[FAIL] criterion {number}: {label}", flush=True)
         raise
     print(f"[PASS] criterion {number}: {label} ({elapsed:.1f}s)", flush=True)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_tape():
-    reset_tape()
-    yield
-    reset_tape()
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +202,6 @@ def test_criterion_3_probed_shapes_224():
             probed = {name: shape[2] for name, shape in stages
                       if name in expected}
             assert probed == expected, probed
-            reset_tape()
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +272,6 @@ def test_criterion_4_operator_oracles():
             got = linear(Tensor(x), Tensor(w), Tensor(b)).data
             ref = x @ w.T + b
             npt.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
-        reset_tape()
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +292,6 @@ def test_criterion_5_bce_stability():
                 s = 1.0 / (1.0 + np.exp(-x))
                 naive = -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
                 assert abs(got - naive) <= 1e-10, (x, y, got, naive)
-        reset_tape()
 
 
 # --------------------------------------------------------------------------

@@ -272,6 +272,19 @@ def test_batches_cache_is_used(small_dataset, tmp_path):
     assert sum(b.images.shape[0] for b in again) == 10
 
 
+def test_memory_cache_keys_by_patient_and_config(small_dataset):
+    # one dict shared by two configs must not serve the first config's pixels
+    # to the second; a fresh, uncached load is the oracle for each
+    cache = {}
+    narrow = PreprocessConfig(target_size=16, clip_window=(-200.0, 100.0))
+    wide = load_study_image(small_dataset[0], CFG16, cache)
+    clipped = load_study_image(small_dataset[0], narrow, cache)
+    assert wide.shape == clipped.shape and not np.array_equal(wide, clipped)
+    npt.assert_array_equal(clipped, load_study_image(small_dataset[0], narrow))
+    npt.assert_array_equal(load_study_image(small_dataset[0], CFG16, cache),
+                           load_study_image(small_dataset[0], CFG16))
+
+
 def test_disk_cache_round_trips_and_keys_by_config(small_dataset, tmp_path):
     cache_dir = str(tmp_path / "cache")
     first = load_study_image(small_dataset[0], CFG16, cache_dir=cache_dir)

@@ -7,6 +7,8 @@ head. Everything the model reports is checked against that oracle, never
 against itself.
 """
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,7 +27,7 @@ from densect.model import (
     model_from_checkpoint_bytes,
     weighted_layer_count,
 )
-from densect.tensor import Tensor, no_grad, reset_tape
+from densect.tensor import Tensor, no_grad
 
 
 def param_count_ref(blocks, growth, init_c, bottleneck, compression, in_ch, n_out):
@@ -167,7 +169,6 @@ def test_dense_wiring_differs_from_plain_chain_in_param_count():
 
 
 def test_forward_shape_and_finiteness():
-    reset_tape()
     model = DenseNetModel(REDUCED, seed=1)
     x = Tensor(np.random.default_rng(0).standard_normal((3, 1, 32, 32)))
     with no_grad():
@@ -177,7 +178,6 @@ def test_forward_shape_and_finiteness():
 
 
 def test_forward_matches_feature_plan_spatially():
-    reset_tape()
     model = DenseNetModel(REDUCED, seed=0)
     x = Tensor(np.random.default_rng(1).standard_normal((2, 1, 32, 32)))
     plan = feature_map_plan(REDUCED)
@@ -221,7 +221,6 @@ def test_same_seed_bit_identical_different_seed_not():
 
 
 def test_training_forward_updates_running_stats_eval_does_not():
-    reset_tape()
     model = DenseNetModel(REDUCED, seed=0)
     bn = model.blocks[0].layers[0].bn1
     x = Tensor(np.random.default_rng(2).standard_normal((2, 1, 32, 32)))
@@ -235,7 +234,6 @@ def test_training_forward_updates_running_stats_eval_does_not():
 
 
 def test_reduced_model_gradients_sampled():
-    reset_tape()
     model = DenseNetModel(REDUCED, seed=3, dtype=np.float64)
     x = Tensor(np.random.default_rng(4).standard_normal((2, 1, 32, 32)), dtype=np.float64)
 
@@ -258,7 +256,6 @@ def test_reduced_model_gradients_sampled():
 
 
 def test_checkpoint_round_trip_exact():
-    reset_tape()
     model = DenseNetModel(REDUCED, seed=9)
     x = Tensor(np.random.default_rng(6).standard_normal((2, 1, 32, 32)))
     with no_grad():
@@ -280,6 +277,35 @@ def test_checkpoint_file_round_trip(tmp_path):
     model.save_checkpoint(str(p))
     clone = DenseNetModel.load_checkpoint(str(p))
     npt.assert_array_equal(clone.fc.weight.data, model.fc.weight.data)
+
+
+def test_checkpoint_write_failing_partway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "final.ckpt"
+    DenseNetModel(REDUCED, seed=2).save_checkpoint(str(path))
+    previous = path.read_bytes()
+
+    class FullDisk:
+        # writes half the bytes, then fails like a full disk would
+        def __init__(self, name, mode):
+            self.f = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            self.f.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("densect.model.open", FullDisk, raising=False)
+    with pytest.raises(OSError):
+        DenseNetModel(REDUCED, seed=3).save_checkpoint(str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["final.ckpt"]
 
 
 def test_checkpoint_rejects_bad_magic():

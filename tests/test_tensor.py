@@ -7,6 +7,9 @@ verified twice — against hand-frozen values on tiny cases, and against
 central finite differences through the grad_check harness.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,7 +24,6 @@ from densect.tensor import (
     NoGraphError,
     ShapeError,
     Tensor,
-    active_tape,
     backward,
     batchnorm2d,
     concat_channels,
@@ -30,7 +32,6 @@ from densect.tensor import (
     no_grad,
     pool2d,
     relu,
-    reset_tape,
     sigmoid,
     stable_sigmoid,
 )
@@ -107,13 +108,6 @@ def _well_separated(rng, shape, scale=0.37):
     size = int(np.prod(shape))
     vals = rng.permutation(size).astype(np.float64) * scale
     return (vals - vals.mean()).reshape(shape)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_tape():
-    reset_tape()
-    yield
-    reset_tape()
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +203,6 @@ def test_maxpool_tie_routes_to_first_occurrence():
     x = Tensor(np.array([[[[5.0, 5.0]]]]), requires_grad=True)
     out = pool2d(x, "max", kernel=1, stride=1, padding=0)
     assert out.shape == (1, 1, 1, 2)
-    reset_tape()
     x2 = Tensor(np.array([[[[5.0, 5.0], [1.0, 1.0]]]]), requires_grad=True)
     out2 = pool2d(x2, "max", kernel=2, stride=2)
     out2.sum().backward()
@@ -441,38 +434,77 @@ def test_batchnorm_gradients(training):
 
 
 # ---------------------------------------------------------------------------
-# tape semantics
+# graph semantics
 
 
-def test_tape_records_in_execution_order_inputs_first():
+def _log_replays(nodes, log):
+    """Wrap each node's backward rule so that calling it appends the node to log."""
+    for node in nodes:
+        def logged(g, node=node, rule=node.backward_rule):
+            log.append(node)
+            return rule(g)
+        node.backward_rule = logged
+
+
+def test_backward_replays_in_recording_order_inputs_first():
     x = Tensor(np.ones(3), requires_grad=True)
     y = relu(x)
-    z = (y * y).sum()
-    tape = active_tape()
-    assert [n.output for n in tape.nodes] == [y, z.node.inputs[0], z]
-    pos = {id(n.output): i for i, n in enumerate(tape.nodes)}
-    for i, node in enumerate(tape.nodes):
+    yy = y * y
+    z = yy.sum()
+    replayed = []
+    _log_replays([y.node, yy.node, z.node], replayed)
+    backward(z)
+    assert replayed == [z.node, yy.node, y.node]
+    # every consumer runs before the node producing its input
+    pos = {node: i for i, node in enumerate(replayed)}
+    for node in replayed:
         for inp in node.inputs:
             if inp.node is not None:
-                assert pos[id(inp)] < i
+                assert pos[node] < pos[inp.node]
 
 
-def test_reset_tape_discards_history():
+def test_backward_never_visits_a_graph_the_loss_cannot_reach():
     x = Tensor(np.ones(2), requires_grad=True)
-    relu(x)
-    assert len(active_tape()) == 1
-    reset_tape()
-    assert len(active_tape()) == 0
+    unrelated = relu(x * 3.0)
+    loss = (x * 2.0).sum()
+
+    def must_not_run(g):
+        raise AssertionError("replayed a node the loss does not depend on")
+
+    unrelated.node.backward_rule = must_not_run
+    unrelated.node.inputs[0].node.backward_rule = must_not_run
+    backward(loss)
+    npt.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_graph_is_dropped_with_the_loss():
+    # no cycle holds the graph: reference counting alone frees the
+    # activations, without the cyclic collector's help
+    x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
+    hidden = relu(x * 2.0)
+    loss = hidden.sum()
+    held = weakref.ref(hidden.data)
+    del hidden
+    gc.disable()
+    try:
+        assert held() is not None      # the loss keeps its graph alive
+        backward(loss)
+        assert held() is not None      # ...also after backward
+        del loss
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_no_grad_suppresses_recording():
     x = Tensor(np.ones(2), requires_grad=True)
     with no_grad():
         y = relu(x)
+        z = y * 2.0
     assert y.node is None and not y.requires_grad
-    assert len(active_tape()) == 0
+    assert z.node is None and not z.requires_grad
     with pytest.raises(NoGraphError):
-        backward(y.sum() if y.node else y)
+        backward(z.sum())
 
 
 def test_backward_without_graph_raises():

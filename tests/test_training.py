@@ -7,7 +7,9 @@ update equations. The production code is checked against both before any
 end-to-end run is trusted.
 """
 
+import gc
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from densect.data import StudyRecord, synth_generate
 from densect.gradcheck import grad_check
 from densect.model import REDUCED, DenseNetModel
 from densect.preprocess import PreprocessConfig
-from densect.tensor import ShapeError, Tensor, backward, reset_tape
+from densect.tensor import ShapeError, Tensor, backward
 from densect.training import (
     AdamState,
     DivergenceError,
@@ -59,13 +61,6 @@ def adam_scalar_sim(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, p0=1.0):
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         trajectory.append(p)
     return trajectory
-
-
-@pytest.fixture(autouse=True)
-def _fresh_tape():
-    reset_tape()
-    yield
-    reset_tape()
 
 
 # ---------------------------------------------------------------- bce
@@ -366,17 +361,38 @@ def test_lr_zero_epoch_touches_only_bn_buffers(synth_dir):
                       if "running" in k}
     from densect.data import batches
     for batch in batches(synth_dir, 4, CFG32):
-        reset_tape()
         loss = bce_with_logits(model.forward(Tensor(batch.images), training=True),
                                batch.labels)
         backward(loss)
         adam_step(params, state, lr=0.0)
-    reset_tape()
     for k, v in model.named_parameters():
         npt.assert_array_equal(v.data, params_before[k], err_msg=k)
     moved = [k for k, v in model.named_state()
              if "running" in k and not np.array_equal(v.data, buffers_before[k])]
     assert moved  # training-mode forward updates running statistics
+
+
+def test_train_step_leaves_no_cyclic_garbage():
+    # a step's graph must be freed by reference counting once the loss is
+    # dropped; anything left for the cyclic collector would pile up until a
+    # full collection, one graph per step
+    model = DenseNetModel(REDUCED, seed=0)
+    params = model.parameters()
+    state = AdamState.for_params(params)
+    images = np.random.default_rng(0).standard_normal((2, 1, 32, 32)).astype(np.float32)
+    gc.collect()
+    gc.disable()
+    try:
+        logits = model.forward(Tensor(images), training=True)
+        loss = bce_with_logits(logits, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        backward(loss)
+        adam_step(params, state, lr=0.01)
+        freed = weakref.ref(logits.data)
+        del logits, loss
+        assert freed() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def small_train_config(**overrides):
