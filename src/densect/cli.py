@@ -14,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,25 +47,26 @@ def _optional_float(raw: str) -> Optional[float]:
     return None if raw.lower() in ("none", "") else float(raw)
 
 
-# key -> (converter, default); the single source of truth for run settings
-_SCHEMA = {
-    "preset": (str, "densenet121"),
-    "epochs": (int, 100),
-    "batch_size": (int, 8),
-    "lr": (float, 0.01),
-    "seed": (int, 0),
-    "val_count": (int, 0),
-    "threshold": (float, 0.5),
-    "checkpoint_every": (int, 10),
-    "stop_accuracy": (_optional_float, None),
-    "target_size": (int, 224),
-    "clip_lo": (float, -1000.0),
-    "clip_hi": (float, 400.0),
-    "crop_policy": (str, "none"),
-    "crop_fraction": (float, 1.0),
-    "slice_policy": (str, "middle-axial"),
-    "slice_index": (int, 0),
+def _settings(config: TrainConfig) -> dict:
+    """The flat key -> value form of a config: every TrainConfig field but
+    ``preprocess``, then every PreprocessConfig field, with ``clip_window``
+    split into ``clip_lo`` and ``clip_hi``."""
+    pre = config.preprocess
+    flat = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "preprocess"}
+    flat.update({f.name: getattr(pre, f.name) for f in fields(pre) if f.name != "clip_window"})
+    flat["clip_lo"], flat["clip_hi"] = pre.clip_window
+    return flat
+
+
+_CONVERTERS = {
+    "preset": str, "epochs": int, "batch_size": int, "lr": float, "seed": int,
+    "val_count": int, "threshold": float, "checkpoint_every": int,
+    "stop_accuracy": _optional_float, "target_size": int, "crop_policy": str,
+    "crop_fraction": float, "slice_policy": str, "slice_index": int,
+    "clip_lo": float, "clip_hi": float,
 }
+# key -> (converter, default); the defaults are the config dataclasses' own
+_SCHEMA = {key: (_CONVERTERS[key], default) for key, default in _settings(TrainConfig()).items()}
 
 
 def _read_config_file(path: str) -> dict:
@@ -115,29 +117,13 @@ def _resolve(args) -> tuple[dict, set]:
 
 
 def _preprocess_config(s: dict) -> PreprocessConfig:
-    return PreprocessConfig(
-        target_size=s["target_size"],
-        clip_window=(s["clip_lo"], s["clip_hi"]),
-        crop_policy=s["crop_policy"],
-        crop_fraction=s["crop_fraction"],
-        slice_policy=s["slice_policy"],
-        slice_index=s["slice_index"],
-    )
+    keys = [f.name for f in fields(PreprocessConfig) if f.name != "clip_window"]
+    return PreprocessConfig(clip_window=(s["clip_lo"], s["clip_hi"]), **{k: s[k] for k in keys})
 
 
 def _train_config(s: dict) -> TrainConfig:
-    return TrainConfig(
-        preset=s["preset"],
-        epochs=s["epochs"],
-        batch_size=s["batch_size"],
-        lr=s["lr"],
-        seed=s["seed"],
-        val_count=s["val_count"],
-        threshold=s["threshold"],
-        checkpoint_every=s["checkpoint_every"],
-        stop_accuracy=s["stop_accuracy"],
-        preprocess=_preprocess_config(s),
-    )
+    keys = [f.name for f in fields(TrainConfig) if f.name != "preprocess"]
+    return TrainConfig(preprocess=_preprocess_config(s), **{k: s[k] for k in keys})
 
 
 def _add_preprocess_flags(p: argparse.ArgumentParser):

@@ -421,7 +421,12 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
     seen = set()
     for _ in range(n_entries):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        offset = r.pos
+        try:
+            name = r.take(name_len).decode()
+        except UnicodeDecodeError as e:
+            raise CheckpointError(
+                f"state entry name is not UTF-8: bad byte at offset {offset + e.start}") from None
         if name not in expected:
             raise CheckpointError(f"unknown state entry {name!r}")
         if name in seen:

@@ -8,6 +8,11 @@ output points at its node and a node at its inputs, never forward, so the loss
 owns its graph: ``backward`` replays the nodes it reaches, newest first, each
 exactly once, and dropping the loss frees them by reference counting.
 
+Convolution is im2col + matmul. A 1x1 stride-1 unpadded conv multiplies the
+weights with a reshape view of its input, so its node keeps no copy of it, and
+every conv computes its input gradient as a transposed convolution of the
+output gradient through the same im2col + matmul.
+
 Default element type is float32; pass ``dtype=np.float64`` when building
 tensors for finite-difference verification.
 """
@@ -320,26 +325,36 @@ def _conv_out_size(extent: int, kernel: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - kernel) // stride + 1
 
 
+def _canvas(a: np.ndarray, top: int, left: int, stride: int, hc: int, wc: int) -> np.ndarray:
+    # zeros of (N, C, hc, wc) with a[:, :, i, j] at (top + stride*i, left + stride*j);
+    # rows or columns that fall outside are dropped (a crop when top or left < 0)
+    n, c, h, w = a.shape
+    if stride == 1 and top == 0 and left == 0 and (hc, wc) == (h, w):
+        return a
+    out = np.zeros((n, c, hc, wc), dtype=a.dtype)
+    spans = []
+    for start, count, size in ((top, h, hc), (left, w, wc)):
+        lo = max(0, (stride - 1 - start) // stride)
+        hi = min(count, (size - 1 - start) // stride + 1)
+        if hi <= lo:
+            return out
+        spans.append((slice(start + stride * lo, start + stride * (hi - 1) + 1, stride), slice(lo, hi)))
+    (ys, ya), (xs, xa) = spans
+    out[:, :, ys, xs] = a[:, :, ya, xa]
+    return out
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h2: int, w2: int) -> np.ndarray:
-    # (N, C, Hp, Wp) -> (N, C*kh*kw, h2*w2), rows in (C, kh, kw) C-order
+    # (N, C, Hp, Wp) -> (N, C*kh*kw, h2*w2), rows in (C, kh, kw) C-order;
+    # a 1x1 stride-1 window is a reshape view of xp, not a copy
     n, c = xp.shape[0], xp.shape[1]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, h2 * w2)
-
-
-def _col2im(gcols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
-            padding: int, h2: int, w2: int) -> np.ndarray:
-    # scatter-add of column gradients back onto the (padded) input grid
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    gxp = np.zeros((n, c, hp, wp), dtype=gcols.dtype)
-    g6 = gcols.reshape(n, c, kh, kw, h2, w2)
+    if kh == kw == stride == 1:
+        return xp.reshape(n, c, h2 * w2)
+    cols = np.empty((n, c, kh, kw, h2, w2), dtype=xp.dtype)
     for ky in range(kh):
         for kx in range(kw):
-            gxp[:, :, ky:ky + stride * h2:stride, kx:kx + stride * w2:stride] += g6[:, :, ky, kx]
-    if padding:
-        return gxp[:, :, padding:padding + h, padding:padding + w]
-    return gxp
+            cols[:, :, ky, kx] = xp[:, :, ky:ky + stride * h2:stride, kx:kx + stride * w2:stride]
+    return cols.reshape(n, c * kh * kw, h2 * w2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -348,7 +363,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     Output spatial extent is floor((H + 2*padding - kh)/stride) + 1 (same for
     width). The im2col columns are retained for the backward pass only while
-    an operation is being recorded.
+    an operation is being recorded; for a 1x1 stride-1 unpadded conv they are
+    a view of the input, not a copy. The input gradient is the transposed
+    convolution: the output gradient, spread out by the stride and padded (or
+    cropped) by kh-1-padding, convolved with the flipped kernel.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weight, got {x.data.shape} and {weight.data.shape}")
@@ -367,7 +385,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             f"conv2d: kernel {kh}x{kw} stride {stride} padding {padding} "
             f"yields empty output for input {h}x{w}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    xp = _canvas(x.data, padding, padding, 1, h + 2 * padding, w + 2 * padding)
     cols = _im2col(xp, kh, kw, stride, h2, w2)
     w2d = weight.data.reshape(o, c * kh * kw)
     out = np.matmul(w2d, cols).reshape(n, o, h2, w2)
@@ -378,8 +396,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         out = out + bias.data.reshape(1, o, 1, 1)
         inputs = (x, weight, bias)
 
-    x_shape = x.data.shape
-
     def rule(g):
         g2 = g.reshape(n, o, h2 * w2)
         gw = None
@@ -387,8 +403,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
         gx = None
         if x.requires_grad:
-            gcols = np.matmul(w2d.T, g2)
-            gx = _col2im(gcols, x_shape, kh, kw, stride, padding, h2, w2)
+            gp = _canvas(g, kh - 1 - padding, kw - 1 - padding, stride, h + kh - 1, w + kw - 1)
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+            gx = np.matmul(flipped, _im2col(gp, kh, kw, 1, h, w)).reshape(n, c, h, w)
         if bias is None:
             return (gx, gw)
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
@@ -520,34 +537,38 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ValueError(f"batchnorm2d: momentum must be in (0, 1], got {momentum}")
 
     m = n * h * w
+    x3 = x.data.reshape(n, c, h * w)
     if training:
         if m < 2:
             raise DegenerateStatsError(
                 f"batchnorm2d: training mode needs >= 2 elements per channel, got {m}")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = x3.mean(axis=(0, 2))
+        xhat = x3 - mean[:, None]
+        var = np.einsum("ncm,ncm->c", xhat, xhat) / m
         running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * (var * m / (m - 1))
     else:
-        mean = running_mean.data
+        xhat = x3 - running_mean.data[:, None]
         var = running_var.data
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv[:, None]
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
 
     def rule(g):
-        dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
+        g3 = g.reshape(n, c, h * w)
+        sum_g = g3.sum(axis=(0, 2))                   # dbeta
+        sum_gx = np.einsum("ncm,ncm->c", g3, xhat)    # dgamma
         dx = None
         if x.requires_grad:
+            scale = gamma.data * inv
+            dx = g3 * scale[:, None]
             if training:
-                dxhat = g * gamma.data[None, :, None, None]
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                dx = (inv[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
-            else:
-                dx = g * (gamma.data * inv)[None, :, None, None]
-        return (dx, dgamma, dbeta)
+                # dx = gamma*inv/m * (m*g - sum(g) - xhat*sum(g*xhat))
+                dx -= xhat * (scale * sum_gx / m)[:, None]
+                dx -= (scale * sum_g / m)[:, None]
+            dx = dx.reshape(n, c, h, w)
+        return (dx, sum_gx if gamma.requires_grad else None, sum_g if beta.requires_grad else None)
 
-    return record((x, gamma, beta), out, rule)
+    return record((x, gamma, beta), out.reshape(n, c, h, w), rule)

@@ -108,13 +108,25 @@ def adam_step(params: Sequence[Tensor], state: AdamState, lr: float,
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
+    # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*(g*g);
+    # p -= lr*(m/c1) / (sqrt(v/c2) + eps): the same float operations in the
+    # same order, written into m, v, p and two scratch arrays; g is only read
     for i, p in enumerate(params):
-        g = p.grad
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        g, m, v = p.grad, state.m[i], state.v[i]
+        tmp = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v *= beta2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step = np.divide(m, c1)
+        step *= lr
+        step /= tmp
+        p.data -= step
         p.grad = None
 
 

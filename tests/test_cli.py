@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from densect.cli import main
+from densect.cli import _build_parser, _resolve, _train_config, main
 from densect.model import DENSENET121, REDUCED, feature_map_plan
-from densect.training import metrics_from_csv
+from densect.training import TrainConfig, metrics_from_csv
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,13 @@ def test_console_script_is_installed():
 
 
 # ---------------------------------------------------------------- config file
+
+def test_flagless_train_resolves_to_the_config_defaults():
+    args = _build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+    settings, provided = _resolve(args)
+    assert provided == set()
+    assert _train_config(settings) == TrainConfig()
+
 
 def test_config_precedence_flags_beat_file_beats_defaults(dataset, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -159,6 +166,17 @@ def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     code, _, err = run_cli(capsys, "evaluate", "--data", str(dataset),
                            "--checkpoint", str(ckpt))
     assert code == 2
+
+
+def test_checkpoint_with_non_utf8_entry_name_is_data_error(trained, tmp_path, capsys):
+    buf = bytearray((trained / "final.ckpt").read_bytes())
+    cfg_len = int.from_bytes(buf[12:16], "little")
+    buf[16 + cfg_len + 4 + 2] = 0xFF    # first byte of the first entry name
+    ckpt = tmp_path / "bad_name.ckpt"
+    ckpt.write_bytes(bytes(buf))
+    code, _, err = run_cli(capsys, "describe", "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "not UTF-8" in err
 
 
 def test_predict_missing_volume_is_data_error(trained, capsys):

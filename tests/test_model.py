@@ -12,6 +12,8 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densect.gradcheck import grad_check
 from densect.model import (
@@ -340,6 +342,44 @@ def test_checkpoint_rejects_bad_config_json():
     bad = buf[:16] + b"X" + buf[17:]
     with pytest.raises(CheckpointError, match="config"):
         model_from_checkpoint_bytes(bad)
+
+
+def test_checkpoint_rejects_non_utf8_entry_name_naming_its_offset():
+    buf = bytearray(checkpoint_bytes(DenseNetModel(REDUCED)))
+    cfg_len = int.from_bytes(buf[12:16], "little")
+    name_at = 16 + cfg_len + 4 + 2     # past the config, entry count and name length
+    buf[name_at + 1] = 0xFF
+    with pytest.raises(CheckpointError, match=f"not UTF-8: bad byte at offset {name_at + 1}$"):
+        model_from_checkpoint_bytes(bytes(buf))
+
+
+# a whole checkpoint in ~4.5 KB, so most mutations land in its structure
+TINY = DenseNetConfig(block_layers=(1, 1, 1, 1), growth_rate=2, init_channels=2,
+                      bottleneck_factor=1, input_size=8)
+TINY_CHECKPOINT = checkpoint_bytes(DenseNetModel(TINY, seed=1))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(data):
+    # the checkpoint counterpart of acceptance criterion 6's MHA fuzz
+    buf = bytearray(TINY_CHECKPOINT)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        op = data.draw(st.sampled_from(["set", "flip", "cut", "insert"]), label="op")
+        at = data.draw(st.integers(0, len(buf)), label="offset")
+        if op == "set" and at < len(buf):
+            buf[at] = data.draw(st.integers(0, 255), label="byte")
+        elif op == "flip" and at < len(buf):
+            buf[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        elif op == "cut":
+            del buf[at:]
+        elif op == "insert":
+            buf[at:at] = data.draw(st.binary(min_size=1, max_size=16), label="junk")
+    try:
+        model = model_from_checkpoint_bytes(bytes(buf))
+    except CheckpointError:
+        return
+    assert isinstance(model, DenseNetModel)
 
 
 def test_config_validation():

@@ -168,6 +168,81 @@ def test_conv2d_gradients(stride, padding):
     assert report.passed, report.summary()
 
 
+def conv2d_ref_grads(x, w, g, stride, padding):
+    """Gradients of sum(g * conv2d_ref(x, w)). The conv is linear in each
+    operand, so entry i of a gradient is the reference conv of a one-hot."""
+    grads = []
+    for arr, conv in ((x, lambda e: conv2d_ref(e, w, stride=stride, padding=padding)),
+                      (w, lambda e: conv2d_ref(x, e, stride=stride, padding=padding))):
+        grad = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            one_hot = np.zeros_like(arr)
+            one_hot[idx] = 1.0
+            grad[idx] = (g * conv(one_hot)).sum()
+        grads.append(grad)
+    return grads
+
+
+# (x shape, weight shape, stride, padding): the 1x1 view path, 3x3 with fewer
+# and with more output than input channels, stride 2 leaving the last input
+# row and column outside every window, and padding > kernel-1, where the
+# transposed conv crops the output gradient instead of padding it
+CONV_GEOMETRIES = [
+    ((2, 5, 4, 3), (3, 5, 1, 1), 1, 0),
+    ((2, 4, 5, 4), (2, 4, 3, 3), 1, 1),
+    ((1, 2, 4, 5), (5, 2, 3, 3), 1, 1),
+    ((2, 3, 6, 6), (4, 3, 3, 3), 2, 0),
+    ((1, 3, 4, 3), (2, 3, 2, 2), 1, 2),
+    ((1, 2, 3, 4), (3, 2, 1, 1), 2, 2),
+]
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GEOMETRIES)
+def test_conv2d_forward_and_gradients_match_reference(x_shape, w_shape, stride, padding):
+    rng = np.random.default_rng(sum(x_shape) + 3 * sum(w_shape) + stride + padding)
+    xd, wd = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    x = Tensor(xd, requires_grad=True, dtype=np.float64)
+    w = Tensor(wd, requires_grad=True, dtype=np.float64)
+    out = conv2d(x, w, stride=stride, padding=padding)
+    npt.assert_allclose(out.data, conv2d_ref(xd, wd, stride=stride, padding=padding),
+                        rtol=1e-12, atol=1e-12)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g, dtype=np.float64)).sum().backward()
+    gx_ref, gw_ref = conv2d_ref_grads(xd, wd, g, stride, padding)
+    npt.assert_allclose(x.grad, gx_ref, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(w.grad, gw_ref, rtol=1e-12, atol=1e-12)
+    if stride == 2 and padding == 0:
+        npt.assert_array_equal(x.grad[:, :, -1], 0.0)   # the row no window covers
+        npt.assert_array_equal(x.grad[:, :, :, -1], 0.0)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GEOMETRIES)
+def test_conv2d_gradients_finite_differences(x_shape, w_shape, stride, padding):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True, dtype=np.float64)
+    r = Tensor(rng.standard_normal(conv2d(x, w, stride=stride, padding=padding).shape),
+               dtype=np.float64)
+    report = grad_check(lambda: (conv2d(x, w, stride=stride, padding=padding) * r).sum(),
+                        {"x": x, "w": w})
+    assert report.passed, report.summary()
+
+
+def test_conv2d_1x1_keeps_a_view_of_its_input_not_a_copy():
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 6, 5, 4)), requires_grad=True)
+    w = Tensor(np.ones((3, 6, 1, 1)), requires_grad=True)
+    out = conv2d(x, w)
+    retained = [cell.cell_contents for cell in out.node.backward_rule.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)
+                and cell.cell_contents.size >= x.size]
+    assert retained and all(np.shares_memory(a, x.data) for a in retained)
+    # a padded 1x1 conv needs the zero border, so it retains a copy
+    padded = conv2d(x, w, padding=1)
+    assert not any(np.shares_memory(cell.cell_contents, x.data)
+                   for cell in padded.node.backward_rule.__closure__
+                   if isinstance(cell.cell_contents, np.ndarray))
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -412,6 +487,48 @@ def test_batchnorm_degenerate_batch_raises():
         batchnorm2d(x, *args, training=True)
     # the same shape is fine in eval mode
     batchnorm2d(x, *args, training=False)
+
+
+def batchnorm_train_ref(x, gamma, beta, g, eps):
+    """Train-mode batch norm and its gradients in float64, from the textbook
+    chain rule through mean and variance (Ioffe & Szegedy 2015, Alg. 1)."""
+    x, gamma, beta, g = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, g))
+    axes, c = (0, 2, 3), (None, slice(None), None, None)
+    m = x.size // x.shape[1]
+    mu = x.mean(axis=axes)
+    diff = x - mu[c]
+    var = (diff ** 2).sum(axis=axes) / m
+    std = np.sqrt(var + eps)
+    xhat = diff / std[c]
+    out = gamma[c] * xhat + beta[c]
+    dxhat = g * gamma[c]
+    dvar = (dxhat * diff).sum(axis=axes) * -0.5 * std ** -3
+    dmu = -(dxhat / std[c]).sum(axis=axes) + dvar * (-2.0 * diff).sum(axis=axes) / m
+    dx = dxhat / std[c] + dvar[c] * 2.0 * diff / m + dmu[c] / m
+    return out, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes), mu, var * m / (m - 1)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1, 1), (2, 4, 3, 3), (3, 2, 3, 3)])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 2e-4)])
+def test_batchnorm_training_matches_textbook_formula(shape, dtype, tol):
+    rng = np.random.default_rng(shape[0] * 10 + shape[2])
+    c = shape[1]
+    xd = rng.standard_normal(shape) * 3 + 1.5
+    gd, gammad, betad = rng.standard_normal(shape), rng.uniform(0.5, 2, c), rng.standard_normal(c)
+    x = Tensor(xd, requires_grad=True, dtype=dtype)
+    gamma = Tensor(gammad, requires_grad=True, dtype=dtype)
+    beta = Tensor(betad, requires_grad=True, dtype=dtype)
+    rm, rv = Tensor(np.zeros(c), dtype=dtype), Tensor(np.ones(c), dtype=dtype)
+    out = batchnorm2d(x, gamma, beta, rm, rv, momentum=0.25, training=True)
+    (out * Tensor(gd, dtype=dtype)).sum().backward()
+    want, dx, dgamma, dbeta, mu, var_unbiased = batchnorm_train_ref(
+        x.data, gamma.data, beta.data, gd.astype(dtype), 1e-5)
+    for got, ref in ((out.data, want), (x.grad, dx), (gamma.grad, dgamma), (beta.grad, dbeta),
+                     (rm.data, 0.25 * mu), (rv.data, 0.75 + 0.25 * var_unbiased)):
+        # at 1x1 with N=2, x-hat is +-1 and dx cancels to ~eps-sized values, so
+        # the absolute tolerance is scaled by the O(1) terms, not by dx itself
+        assert got.dtype == dtype
+        npt.assert_allclose(got, ref, rtol=tol, atol=tol * max(1.0, np.abs(ref).max()))
 
 
 @pytest.mark.parametrize("training", [True, False])

@@ -167,6 +167,49 @@ def test_adam_matches_scalar_simulation():
     npt.assert_allclose(got, expected, rtol=1e-12)
 
 
+def adam_step_out_of_place(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The earlier adam_step, which rebinds m, v and a fresh update array."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for i, p in enumerate(params):
+        g = p.grad
+        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
+        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
+        m_hat = state.m[i] / c1
+        v_hat = state.v[i] / c2
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        p.grad = None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_is_bit_identical_to_out_of_place(dtype):
+    rng = np.random.default_rng(4)
+    shapes = [(3, 4, 3, 3), (5,), (2, 7)]
+    params = [Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype) for s in shapes]
+    ref = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+    for _ in range(5):
+        grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+                 for s in shapes]
+        held = [g.copy() for g in grads]
+        for p, q, g in zip(params, ref, grads):
+            p.grad, q.grad = g, g.copy()
+        adam_step(params, state, lr=0.003)
+        adam_step_out_of_place(ref, ref_state, lr=0.003)
+        for g, before in zip(grads, held):
+            npt.assert_array_equal(g, before)   # the caller's gradients are untouched
+        for got, want in zip(params, ref):
+            assert got.data.dtype == dtype and got.grad is None
+            npt.assert_array_equal(got.data, want.data)
+        for name in ("m", "v"):
+            for got, want in zip(getattr(state, name), getattr(ref_state, name)):
+                assert got.dtype == dtype
+                npt.assert_array_equal(got, want)
+    assert state.step == ref_state.step == 5
+
+
 def test_adam_descends_the_quadratic():
     traj = run_adam_on_quadratic(50, lr=0.1)
     assert abs(traj[-1]) < 0.2  # well on the way from 1.0 toward 0
