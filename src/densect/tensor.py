@@ -9,7 +9,7 @@ owns its graph: ``backward`` replays the nodes it reaches, newest first, each
 exactly once, and dropping the loss frees them by reference counting.
 
 Convolution is im2col + matmul. A 1x1 stride-1 unpadded conv multiplies the
-weights with a reshape view of its input, so its node keeps no copy of it, and
+weights with a view of its input, so its node keeps no copy of it, and
 every conv computes its input gradient as a transposed convolution of the
 output gradient through the same im2col + matmul.
 
@@ -346,15 +346,11 @@ def _canvas(a: np.ndarray, top: int, left: int, stride: int, hc: int, wc: int) -
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h2: int, w2: int) -> np.ndarray:
     # (N, C, Hp, Wp) -> (N, C*kh*kw, h2*w2), rows in (C, kh, kw) C-order;
-    # a 1x1 stride-1 window is a reshape view of xp, not a copy
+    # a 1x1 stride-1 window of a contiguous xp is already contiguous, so this
+    # returns a view of xp, not a copy
     n, c = xp.shape[0], xp.shape[1]
-    if kh == kw == stride == 1:
-        return xp.reshape(n, c, h2 * w2)
-    cols = np.empty((n, c, kh, kw, h2, w2), dtype=xp.dtype)
-    for ky in range(kh):
-        for kx in range(kw):
-            cols[:, :, ky, kx] = xp[:, :, ky:ky + stride * h2:stride, kx:kx + stride * w2:stride]
-    return cols.reshape(n, c * kh * kw, h2 * w2)
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, h2 * w2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,

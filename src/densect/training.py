@@ -108,25 +108,15 @@ def adam_step(params: Sequence[Tensor], state: AdamState, lr: float,
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*(g*g);
-    # p -= lr*(m/c1) / (sqrt(v/c2) + eps): the same float operations in the
-    # same order, written into m, v, p and two scratch arrays; g is only read
+    # the same float operations in the same order as the out-of-place form,
+    # written into m, v and p; g is only read
     for i, p in enumerate(params):
         g, m, v = p.grad, state.m[i], state.v[i]
-        tmp = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
+        m += (1.0 - beta1) * g
         v *= beta2
-        v += tmp
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        step = np.divide(m, c1)
-        step *= lr
-        step /= tmp
-        p.data -= step
+        v += (1.0 - beta2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
         p.grad = None
 
 

@@ -216,18 +216,6 @@ def test_conv2d_forward_and_gradients_match_reference(x_shape, w_shape, stride, 
         npt.assert_array_equal(x.grad[:, :, :, -1], 0.0)
 
 
-@pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GEOMETRIES)
-def test_conv2d_gradients_finite_differences(x_shape, w_shape, stride, padding):
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=np.float64)
-    w = Tensor(rng.standard_normal(w_shape), requires_grad=True, dtype=np.float64)
-    r = Tensor(rng.standard_normal(conv2d(x, w, stride=stride, padding=padding).shape),
-               dtype=np.float64)
-    report = grad_check(lambda: (conv2d(x, w, stride=stride, padding=padding) * r).sum(),
-                        {"x": x, "w": w})
-    assert report.passed, report.summary()
-
-
 def test_conv2d_1x1_keeps_a_view_of_its_input_not_a_copy():
     x = Tensor(np.random.default_rng(0).standard_normal((2, 6, 5, 4)), requires_grad=True)
     w = Tensor(np.ones((3, 6, 1, 1)), requires_grad=True)
