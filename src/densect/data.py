@@ -14,7 +14,6 @@ patient id, so callers can report exactly which study broke.
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -138,50 +137,31 @@ def split(records: Sequence[StudyRecord], val_count: int, seed: int = 0) -> Data
     return DatasetSplit(train=train, val=val)
 
 
-def _cache_name(patient_id: str, config: PreprocessConfig) -> str:
-    digest = hashlib.sha1(repr(config).encode("utf-8")).hexdigest()[:8]
-    return f"{patient_id}-{digest}.npy"
-
-
 def load_study_image(record: StudyRecord, config: PreprocessConfig,
-                     cache: Optional[dict] = None,
-                     cache_dir: Optional[str] = None) -> np.ndarray:
+                     cache: Optional[dict] = None) -> np.ndarray:
     """Read, convert to Hounsfield units, and preprocess one study.
 
     ``cache`` is an in-memory dict reused within a single run, mapping
     patient id to ``{config: pixels}``, so one dict serves any number of
-    preprocessing configs. ``cache_dir`` is a persistent on-disk cache
-    surviving across runs. Both are keyed by patient id *and* config, so
-    changing the config never serves stale pixels.
+    preprocessing configs and changing the config never serves stale pixels.
     """
     if cache is not None and config in cache.get(record.patient_id, ()):
         return cache[record.patient_id][config]
-    disk_path = None
-    if cache_dir is not None:
-        disk_path = os.path.join(cache_dir, _cache_name(record.patient_id, config))
-    if disk_path is not None and os.path.exists(disk_path):
-        pixels = np.load(disk_path)
-    else:
-        try:
-            volume = read_mha_file(record.volume_path)
-            hounsfield = to_hounsfield(volume)
-            image = preprocess(hounsfield, config, patient_id=record.patient_id)
-        except (MhaError, PreprocessError, OSError) as e:
-            raise ItemError(record.patient_id, str(e)) from e
-        pixels = image.pixels
-        if disk_path is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            np.save(disk_path, pixels)
+    try:
+        volume = read_mha_file(record.volume_path)
+        hounsfield = to_hounsfield(volume)
+        image = preprocess(hounsfield, config, patient_id=record.patient_id)
+    except (MhaError, PreprocessError, OSError) as e:
+        raise ItemError(record.patient_id, str(e)) from e
     if cache is not None:
-        cache.setdefault(record.patient_id, {})[config] = pixels
-    return pixels
+        cache.setdefault(record.patient_id, {})[config] = image.pixels
+    return image.pixels
 
 
 def batches(records: Sequence[StudyRecord], batch_size: int,
             config: PreprocessConfig, *, epoch: int = 0,
             shuffle_seed: Optional[int] = None,
-            cache: Optional[dict] = None,
-            cache_dir: Optional[str] = None) -> Iterator[Batch]:
+            cache: Optional[dict] = None) -> Iterator[Batch]:
     """Yield batches of preprocessed studies.
 
     With ``shuffle_seed`` set, the order is a permutation derived from
@@ -200,8 +180,7 @@ def batches(records: Sequence[StudyRecord], batch_size: int,
         order = np.random.default_rng(seq).permutation(n)
     for start in range(0, n, batch_size):
         chunk = [records[i] for i in order[start:start + batch_size]]
-        images = np.stack([load_study_image(r, config, cache, cache_dir)
-                           for r in chunk])
+        images = np.stack([load_study_image(r, config, cache) for r in chunk])
         labels = np.array([[r.label_covid, r.label_severe] for r in chunk],
                           dtype=np.float32)
         yield Batch(

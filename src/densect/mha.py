@@ -162,7 +162,8 @@ def _parse_bool(value: str, key: str) -> bool:
 
 
 def _split_header(data: bytes):
-    """Yield (key, value) pairs until the ElementDataFile line; return payload."""
+    """Parse (key, value) pairs up to the ElementDataFile line; return them
+    with a memoryview of the payload that follows (no copy)."""
     fields: dict[str, str] = {}
     pos = 0
     while True:
@@ -188,7 +189,7 @@ def _split_header(data: bytes):
             raise MalformedHeaderError(f"duplicate header key {key!r}")
         fields[key] = value
         if key == "ElementDataFile":
-            return fields, data[pos:]
+            return fields, memoryview(data)[pos:]
         if len(fields) > 256:
             raise MalformedHeaderError("more than 256 header fields before ElementDataFile")
 
@@ -329,7 +330,9 @@ def to_hounsfield(volume: Volume) -> Volume:
         intercept = _parse_floats(raw["RescaleIntercept"], "RescaleIntercept")[0]
     vox = volume.voxels.astype(np.float32)
     if slope != 1.0 or intercept != 0.0:
-        vox = vox * np.float32(slope) + np.float32(intercept)
+        # in place on the copy: the float32 operations of vox*slope + intercept
+        vox *= np.float32(slope)
+        vox += np.float32(intercept)
     header = MhaHeader(
         ndims=volume.header.ndims,
         dim_size=list(volume.header.dim_size),

@@ -20,6 +20,7 @@ every structural element at a tiny fraction of the cost.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -117,7 +118,9 @@ def feature_map_plan(config: DenseNetConfig) -> list[tuple[str, int, int]]:
 # layers
 
 
-def _he_conv(rng: np.random.Generator, out_c, in_c, kh, kw, dtype) -> Tensor:
+def _he_conv(rng: np.random.Generator | None, out_c, in_c, kh, kw, dtype) -> Tensor:
+    if rng is None:   # zeros for a checkpoint to overwrite
+        return Tensor(np.zeros((out_c, in_c, kh, kw), dtype=dtype), requires_grad=True, dtype=dtype)
     std = np.sqrt(2.0 / (in_c * kh * kw))
     w = rng.standard_normal((out_c, in_c, kh, kw)) * std
     return Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
@@ -161,9 +164,11 @@ class BatchNorm2d:
 
 class Linear:
     def __init__(self, rng, in_f, out_f, dtype=np.float32):
-        std = np.sqrt(1.0 / in_f)
-        self.weight = Tensor((rng.standard_normal((out_f, in_f)) * std).astype(dtype),
-                             requires_grad=True, dtype=dtype)
+        if rng is None:   # zeros for a checkpoint to overwrite
+            w = np.zeros((out_f, in_f), dtype=dtype)
+        else:
+            w = (rng.standard_normal((out_f, in_f)) * np.sqrt(1.0 / in_f)).astype(dtype)
+        self.weight = Tensor(w, requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(out_f, dtype=dtype), requires_grad=True, dtype=dtype)
 
     def __call__(self, x):
@@ -240,11 +245,12 @@ class DenseNetModel:
 
     def __init__(self, config: DenseNetConfig = DENSENET121, seed: int = 0,
                  dtype=np.float32):
+        self._build(config, seed, dtype, np.random.default_rng(seed))
+
+    def _build(self, config, seed, dtype, rng):
         self.config = config
         self.seed = seed
         self.dtype = np.dtype(dtype).type
-        rng = np.random.default_rng(seed)
-
         cfg, dt = config, self.dtype
         self.stem_conv = Conv2d(rng, cfg.input_channels, cfg.init_channels,
                                 kernel=7, stride=2, padding=3, dtype=dt)
@@ -383,9 +389,9 @@ def checkpoint_bytes(model: DenseNetModel) -> bytes:
 
 class _Reader:
     def __init__(self, buf: bytes):
-        self.buf, self.pos = buf, 0
+        self.buf, self.pos = memoryview(buf), 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
@@ -407,13 +413,16 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = r.unpack("<I")
     try:
-        cfg_dict = json.loads(r.take(cfg_len).decode())
+        cfg_dict = json.loads(bytes(r.take(cfg_len)).decode())
         cfg_dict["block_layers"] = tuple(cfg_dict["block_layers"])
         config = DenseNetConfig(**cfg_dict)
     except (ValueError, TypeError, KeyError) as e:
         raise CheckpointError(f"bad embedded config: {e}") from None
 
-    model = DenseNetModel(config, seed=0, dtype=dtype)
+    # zero weights instead of a seeded draw: every entry is overwritten
+    # below (the count, names, duplicates and shapes are all checked)
+    model = DenseNetModel.__new__(DenseNetModel)
+    model._build(config, 0, dtype, rng=None)
     expected = dict(model.named_state())
     (n_entries,) = r.unpack("<I")
     if n_entries != len(expected):
@@ -423,7 +432,7 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
         (name_len,) = r.unpack("<H")
         offset = r.pos
         try:
-            name = r.take(name_len).decode()
+            name = bytes(r.take(name_len)).decode()
         except UnicodeDecodeError as e:
             raise CheckpointError(
                 f"state entry name is not UTF-8: bad byte at offset {offset + e.start}") from None
@@ -438,10 +447,10 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
         target = expected[name]
         if tuple(dims) != target.shape:
             raise CheckpointError(f"{name}: shape {dims} != model shape {target.shape}")
-        if nbytes != int(np.prod(dims, dtype=np.int64)) * 4:
+        if nbytes != math.prod(dims) * 4:
             raise CheckpointError(f"{name}: payload length {nbytes} inconsistent with shape {dims}")
         arr = np.frombuffer(r.take(nbytes), dtype="<f4").reshape(dims)
-        target.data[...] = arr.astype(target.data.dtype)
+        target.data[...] = arr
     if r.pos != len(buf):
         raise CheckpointError(f"{len(buf) - r.pos} trailing bytes after state table")
     return model

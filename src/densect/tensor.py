@@ -264,12 +264,16 @@ def zero_grads(tensors):
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0); the gradient at exactly 0 is defined as 0."""
-    out = np.maximum(x.data, 0)
-    mask = x.data > 0
+    """Elementwise max(x, 0); the gradient at exactly 0 is defined as 0.
+
+    The backward rule builds its mask from the input the node already holds,
+    so a forward that records nothing makes only the output.
+    """
+    xd = x.data
+    out = np.maximum(xd, 0)
 
     def rule(g):
-        return (g * mask,)
+        return (g * (xd > 0),)
 
     return record((x,), out, rule)
 
@@ -416,6 +420,11 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     mode "max": gradient routes to the argmax position, first occurrence on
     ties. mode "average": uniform distribution, divisor kernel*kernel. mode
     "global-average": ignores kernel/stride/padding and reduces H, W to 1.
+
+    Max and average pooling combine the kernel*kernel strided views (taps) of
+    the padded input elementwise, so no array of windows is built. Max
+    pooling finds its first-occurrence argmax only in the backward rule,
+    from the input and output it keeps.
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d: expected 4-D input, got {x.data.shape}")
@@ -442,45 +451,41 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     if h2 < 1 or w2 < 1:
         raise GeometryError(f"pool2d: empty output for input {h}x{w}, kernel {kernel}, stride {stride}")
 
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = x.data
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                    constant_values=-np.inf if mode == "max" else 0.0)
+    # taps[ky*kernel + kx] indexes the input under window offset (ky, kx) of every window
+    taps = [(Ellipsis, slice(ky, ky + stride * (h2 - 1) + 1, stride),
+             slice(kx, kx + stride * (w2 - 1) + 1, stride))
+            for ky in range(kernel) for kx in range(kernel)]
+    out = xp[taps[0]].copy()
+    combine = np.maximum if mode == "max" else np.add
+    for tap in taps[1:]:
+        combine(out, xp[tap], out=out)
+
     if mode == "max":
-        fill = -np.inf if padding else 0.0
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                    constant_values=fill) if padding else x.data
-        win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        flat = np.ascontiguousarray(win).reshape(n, c, h2, w2, kernel * kernel)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        def rule(g):
+            # first occurrence: the lowest tap equal to the maximum wins
+            first = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+            for t in range(len(taps) - 1, -1, -1):
+                np.copyto(first, t, where=xp[taps[t]] == out)
+            gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+            # taps in reverse order add to a shared position in window raster
+            # order, the order a scatter over the windows would use
+            for t in range(len(taps) - 1, -1, -1):
+                gxp[taps[t]] += g * (first == t)
+            return (gxp[:, :, padding:padding + h, padding:padding + w],)
+    else:
+        out /= kernel * kernel
 
         def rule(g):
-            hp, wp = h + 2 * padding, w + 2 * padding
             gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-            ky, kx = idx // kernel, idx % kernel
-            ypos = (np.arange(h2) * stride)[None, None, :, None] + ky
-            xpos = (np.arange(w2) * stride)[None, None, None, :] + kx
-            ni = np.arange(n)[:, None, None, None]
-            ci = np.arange(c)[None, :, None, None]
-            np.add.at(gxp, (ni, ci, ypos, xpos), g)
-            if padding:
-                return (gxp[:, :, padding:padding + h, padding:padding + w],)
-            return (gxp,)
-
-        return record((x,), out, rule)
-
-    # average
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = win.mean(axis=(-2, -1))
-
-    def rule(g):
-        hp, wp = h + 2 * padding, w + 2 * padding
-        gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-        gd = g / (kernel * kernel)
-        for ky in range(kernel):
-            for kx in range(kernel):
-                gxp[:, :, ky:ky + stride * h2:stride, kx:kx + stride * w2:stride] += gd
-        if padding:
+            gd = g / (kernel * kernel)
+            for tap in taps:
+                gxp[tap] += gd
             return (gxp[:, :, padding:padding + h, padding:padding + w],)
-        return (gxp,)
 
     return record((x,), out, rule)
 
@@ -519,8 +524,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Training mode normalizes with biased batch statistics and updates the
     running buffers in place (running variance uses the unbiased estimate,
-    matching the usual convention). Eval mode normalizes with the running
-    buffers and is a plain affine map.
+    matching the usual convention); it keeps x-hat for the backward rule.
+    Eval mode is the affine map x*s + t with s = gamma/sqrt(running_var+eps)
+    and t = beta - running_mean*s: one output array, no x-hat. Its backward
+    rule recomputes x-hat from the input, with the running statistics as
+    they were at forward time, so a later training-mode call that updates
+    the buffers does not change a pending gradient.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: expected 4-D input, got {x.data.shape}")
@@ -543,26 +552,29 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         var = np.einsum("ncm,ncm->c", xhat, xhat) / m
         running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * (var * m / (m - 1))
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv[:, None]
+        out = xhat * gamma.data[:, None]
+        out += beta.data[:, None]
     else:
-        xhat = x3 - running_mean.data[:, None]
-        var = running_var.data
-
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv[:, None]
-    out = xhat * gamma.data[:, None]
-    out += beta.data[:, None]
+        mean = running_mean.data.copy()
+        inv = 1.0 / np.sqrt(running_var.data + eps)
+        scale = gamma.data * inv
+        out = x3 * scale[:, None]
+        out += (beta.data - mean * scale)[:, None]
 
     def rule(g):
         g3 = g.reshape(n, c, h * w)
+        xh = xhat if training else (x3 - mean[:, None]) * inv[:, None]
         sum_g = g3.sum(axis=(0, 2))                   # dbeta
-        sum_gx = np.einsum("ncm,ncm->c", g3, xhat)    # dgamma
+        sum_gx = np.einsum("ncm,ncm->c", g3, xh)      # dgamma
         dx = None
         if x.requires_grad:
             scale = gamma.data * inv
             dx = g3 * scale[:, None]
             if training:
                 # dx = gamma*inv/m * (m*g - sum(g) - xhat*sum(g*xhat))
-                dx -= xhat * (scale * sum_gx / m)[:, None]
+                dx -= xh * (scale * sum_gx / m)[:, None]
                 dx -= (scale * sum_g / m)[:, None]
             dx = dx.reshape(n, c, h, w)
         return (dx, sum_gx if gamma.requires_grad else None, sum_g if beta.requires_grad else None)

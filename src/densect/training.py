@@ -124,18 +124,23 @@ def adam_step(params: Sequence[Tensor], state: AdamState, lr: float,
 # inference and metrics
 
 
+def _classify(model: DenseNetModel, images: np.ndarray, threshold: float):
+    # eval-mode logits under no_grad, their float64 sigmoid, and hard labels
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    with no_grad():
+        logits = model.forward(Tensor(images), training=False)
+    probs = stable_sigmoid(logits.data.astype(np.float64))
+    return logits, probs, (probs >= threshold).astype(np.int64)
+
+
 def predict(model: DenseNetModel, images: np.ndarray, threshold: float = 0.5):
     """Probabilities and hard labels for a batch of (N, 1, S, S) images.
 
     A probability equal to the threshold counts as positive. Runs in eval
     mode under no_grad, so the model is left untouched.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    with no_grad():
-        logits = model.forward(Tensor(images), training=False)
-    probs = stable_sigmoid(logits.data.astype(np.float64))
-    labels = (probs >= threshold).astype(np.int64)
+    _, probs, labels = _classify(model, images, threshold)
     return probs, labels
 
 
@@ -182,20 +187,15 @@ def evaluate(model: DenseNetModel, records: Sequence[StudyRecord],
     preds = []
     targets = []
     table = []
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     for batch in batches(records, batch_size, preprocess_config, cache=cache):
-        with no_grad():
-            logits = model.forward(Tensor(batch.images), training=False)
-            loss = bce_with_logits(logits, batch.labels)
-        probs = stable_sigmoid(logits.data.astype(np.float64))
-        labels = (probs >= threshold).astype(np.int64)
+        logits, probs, labels = _classify(model, batch.images, threshold)
+        loss = bce_with_logits(logits, batch.labels)
         loss_sum += loss.item() * batch.labels.size
         count += batch.labels.size
+        target = batch.labels.astype(np.int64)
         preds.append(labels)
-        targets.append(batch.labels.astype(np.int64))
-        for pid, p, lab, tgt in zip(batch.patient_ids, probs, labels,
-                                    batch.labels.astype(np.int64)):
+        targets.append(target)
+        for pid, p, lab, tgt in zip(batch.patient_ids, probs, labels, target):
             table.append(PatientEval(
                 patient_id=pid,
                 prob_covid=float(p[0]), prob_severe=float(p[1]),

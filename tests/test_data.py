@@ -285,21 +285,6 @@ def test_memory_cache_keys_by_patient_and_config(small_dataset):
                            load_study_image(small_dataset[0], CFG16))
 
 
-def test_disk_cache_round_trips_and_keys_by_config(small_dataset, tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    first = load_study_image(small_dataset[0], CFG16, cache_dir=cache_dir)
-    files = os.listdir(cache_dir)
-    assert len(files) == 1 and files[0].endswith(".npy")
-    # A different config must not reuse the entry.
-    other = PreprocessConfig(target_size=24)
-    load_study_image(small_dataset[0], other, cache_dir=cache_dir)
-    assert len(os.listdir(cache_dir)) == 2
-    # A warm disk cache survives deletion of the source volume.
-    os.remove(small_dataset[0].volume_path)
-    again = load_study_image(small_dataset[0], CFG16, cache_dir=cache_dir)
-    npt.assert_array_equal(again, first)
-
-
 def test_batches_argument_validation(small_dataset):
     with pytest.raises(ValueError):
         list(batches(small_dataset, 0, CFG16))

@@ -265,6 +265,49 @@ def test_to_hounsfield_applies_rescale():
     assert "RescaleSlope" not in hu.header.raw_fields
 
 
+@pytest.mark.parametrize("compress", [False, True])
+@pytest.mark.parametrize("msb", [False, True])
+@pytest.mark.parametrize("wrap", [bytes, bytearray])
+def test_read_voxels_are_a_native_writable_copy(compress, msb, wrap):
+    arr = np.arange(-30, 30, dtype=np.int16).reshape(3, 4, 5)
+    buf = write_mha(Volume.from_array(arr), compress=compress)
+    if msb:   # the same voxels stored big-endian
+        payload = arr.astype(">i2").tobytes()
+        buf = (buf[:buf.index(b"ElementDataFile")] + b"BinaryDataByteOrderMSB = True\n"
+               + b"ElementDataFile = LOCAL\n" + (zlib.compress(payload) if compress else payload))
+    data = wrap(buf)
+    vol = read_mha(data)
+    npt.assert_array_equal(vol.voxels, arr)
+    assert vol.voxels.dtype.isnative and vol.voxels.flags.writeable
+    assert not np.shares_memory(vol.voxels, np.frombuffer(data, dtype=np.uint8))
+    vol.voxels[...] = 0
+    assert bytes(data) == buf
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+def test_to_hounsfield_is_bit_identical_to_float32_rescale(dtype):
+    info = np.iinfo(dtype)
+    arr = np.random.default_rng(3).integers(info.min, info.max, size=(4, 6, 7), endpoint=True)
+    vol = Volume.from_array(arr.astype(dtype))
+    slope, intercept = 0.37, -1024.25
+    vol.header.raw_fields["RescaleSlope"] = repr(slope)
+    vol.header.raw_fields["RescaleIntercept"] = repr(intercept)
+    want = vol.voxels.astype(np.float32) * np.float32(slope) + np.float32(intercept)
+    npt.assert_array_equal(to_hounsfield(vol).voxels, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_to_hounsfield_never_mutates_its_source(dtype):
+    arr = np.arange(24, dtype=dtype).reshape(2, 3, 4)
+    vol = Volume.from_array(arr.copy())
+    vol.header.raw_fields["RescaleSlope"] = "2"
+    vol.header.raw_fields["RescaleIntercept"] = "-1024"
+    hu = to_hounsfield(vol)
+    npt.assert_array_equal(vol.voxels, arr)
+    assert not np.shares_memory(hu.voxels, vol.voxels)
+    npt.assert_array_equal(hu.voxels, arr.astype(np.float32) * 2 - 1024)
+
+
 def test_from_array_rejects_unsupported_dtype():
     with pytest.raises(UnsupportedTypeError):
         Volume.from_array(np.zeros(3, dtype=np.int64))

@@ -273,6 +273,23 @@ def test_checkpoint_round_trip_exact():
     npt.assert_array_equal(logits.data, logits2.data)
 
 
+def test_checkpoint_reload_overwrites_every_entry():
+    # a seed other than the loader's, and every parameter and running buffer
+    # moved off its init value, so no entry of the loaded model can be left
+    # over from the zero-filled network the loader fills in
+    model = DenseNetModel(REDUCED, seed=7)
+    rng = np.random.default_rng(11)
+    for name, t in model.named_state():
+        low = 0.5 if name.endswith("running_var") else -1.0
+        t.data[...] = rng.uniform(low, 2.0, t.shape)
+    for dtype in (np.float32, np.float64):
+        clone = model_from_checkpoint_bytes(checkpoint_bytes(model), dtype=dtype)
+        assert [n for n, _ in clone.named_state()] == [n for n, _ in model.named_state()]
+        for (name, a), (_, b) in zip(model.named_state(), clone.named_state()):
+            assert b.data.dtype == dtype and np.all(b.data != 0), name
+            npt.assert_array_equal(b.data, a.data.astype(dtype), err_msg=name)
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     model = DenseNetModel(REDUCED, seed=2)
     p = tmp_path / "model.ckpt"

@@ -93,6 +93,24 @@ def avgpool_ref(x, kernel, stride, padding=0):
     return out
 
 
+def maxpool_grad_ref(x, g, kernel, stride, padding=0):
+    """Max-pool input gradient by a loop over the windows in raster order:
+    each window adds its output gradient at its first maximal entry."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=-np.inf)
+    gxp = np.zeros(xp.shape, dtype=g.dtype)
+    for ni in range(n):
+        for ci in range(c):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    y0, x0 = yi * stride, xi * stride
+                    win = xp[ni, ci, y0:y0 + kernel, x0:x0 + kernel]
+                    ky, kx = divmod(int(np.argmax(win)), kernel)
+                    gxp[ni, ci, y0 + ky, x0 + kx] += g[ni, ci, yi, xi]
+    return gxp[:, :, padding:padding + h, padding:padding + w]
+
+
 def linear_ref(x, w, b):
     n, f = x.shape
     d = w.shape[0]
@@ -279,6 +297,30 @@ def test_maxpool_overlapping_windows_accumulate():
     assert out.shape == (1, 1, 1, 2)
     out.sum().backward()
     npt.assert_array_equal(x.grad, np.array([[[[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]]]))
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (2, 1, 1), (3, 1, 0), (2, 2, 0)])
+def test_maxpool_gradient_matches_window_loop_bit_for_bit(kernel, stride, padding):
+    # few distinct values: most windows hold ties, and overlapping windows
+    # send several float32 gradients to one position, summed in window order
+    rng = np.random.default_rng(kernel * 7 + stride + padding)
+    x = (rng.integers(-2, 3, size=(2, 3, 9, 8)) * 0.75).astype(np.float32)
+    xt = Tensor(x, requires_grad=True)
+    out = pool2d(xt, "max", kernel=kernel, stride=stride, padding=padding)
+    npt.assert_array_equal(out.data, maxpool_ref(x, kernel, stride, padding))
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    npt.assert_array_equal(xt.grad, maxpool_grad_ref(x, g, kernel, stride, padding))
+
+
+def test_relu_and_max_pool_retain_no_mask_or_index():
+    # both rules rebuild their mask or argmax from the input the node holds
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True,
+               dtype=np.float32)
+    for out in (relu(x), pool2d(x, "max", kernel=3, stride=2, padding=1)):
+        kept = [cell.cell_contents for cell in out.node.backward_rule.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert kept and all(a.dtype == np.float32 for a in kept)
 
 
 @given(st.integers(0, 1000))
@@ -517,6 +559,64 @@ def test_batchnorm_training_matches_textbook_formula(shape, dtype, tol):
         # the absolute tolerance is scaled by the O(1) terms, not by dx itself
         assert got.dtype == dtype
         npt.assert_allclose(got, ref, rtol=tol, atol=tol * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 1, 1), (2, 4, 3, 3), (3, 2, 5, 4)])
+def test_batchnorm_eval_matches_textbook_formula(shape):
+    # float32 affine map x*s + t against (x - mean)/sqrt(var + eps)*gamma + beta
+    # in float64, and the eval gradients against their float64 closed forms
+    rng = np.random.default_rng(shape[0] * 10 + shape[2])
+    c, axes, col = shape[1], (0, 2, 3), (None, slice(None), None, None)
+    xd, gd = rng.standard_normal(shape) * 3 + 1.5, rng.standard_normal(shape)
+    gammad, betad = rng.uniform(0.5, 2, c), rng.standard_normal(c)
+    rmd, rvd = rng.standard_normal(c), rng.uniform(0.2, 3.0, c)
+    f32 = np.float32
+    x = Tensor(xd, requires_grad=True, dtype=f32)
+    gamma, beta = Tensor(gammad, requires_grad=True, dtype=f32), Tensor(betad, requires_grad=True, dtype=f32)
+    rm, rv = Tensor(rmd, dtype=f32), Tensor(rvd, dtype=f32)
+    out = batchnorm2d(x, gamma, beta, rm, rv, training=False)
+    (out * Tensor(gd, dtype=f32)).sum().backward()
+    x64, gamma64, beta64, rm64, rv64, g64 = (a.astype(np.float32).astype(np.float64)
+                                              for a in (xd, gammad, betad, rmd, rvd, gd))
+    inv = 1.0 / np.sqrt(rv64 + 1e-5)
+    xhat = (x64 - rm64[col]) * inv[col]
+    refs = ((out.data, xhat * gamma64[col] + beta64[col]), (x.grad, g64 * (gamma64 * inv)[col]),
+            (gamma.grad, (g64 * xhat).sum(axis=axes)), (beta.grad, g64.sum(axis=axes)))
+    for got, ref in refs:
+        assert got.dtype == np.float32
+        npt.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(ref).max()))
+    npt.assert_array_equal(rm.data, rmd.astype(np.float32))   # eval never touches the buffers
+    npt.assert_array_equal(rv.data, rvd.astype(np.float32))
+
+
+def test_batchnorm_eval_gradient_ignores_a_later_buffer_update():
+    # an eval-mode output whose gradient is taken only after a training-mode
+    # call on the same layer has moved the running buffers: the gradient
+    # must use the buffers as they were at its forward pass
+    rng = np.random.default_rng(8)
+    c = 3
+    xd = rng.standard_normal((2, c, 4, 4))
+    gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True, dtype=np.float64)
+    beta = Tensor(rng.standard_normal(c), requires_grad=True, dtype=np.float64)
+    rm = Tensor(rng.standard_normal(c), dtype=np.float64)
+    rv = Tensor(rng.uniform(0.5, 2.0, c), dtype=np.float64)
+    r = Tensor(rng.standard_normal(xd.shape), dtype=np.float64)
+
+    def grads(update_between):
+        x = Tensor(xd, requires_grad=True, dtype=np.float64)
+        rm_t, rv_t = Tensor(rm.data.copy()), Tensor(rv.data.copy())
+        loss = (batchnorm2d(x, gamma, beta, rm_t, rv_t, training=False) * r).sum()
+        if update_between:
+            with no_grad():
+                batchnorm2d(Tensor(rng.standard_normal(xd.shape) * 5 + 3), gamma, beta,
+                            rm_t, rv_t, momentum=1.0, training=True)
+            assert not np.allclose(rm_t.data, rm.data)
+        gamma.zero_grad(), beta.zero_grad()
+        loss.backward()
+        return x.grad, gamma.grad, beta.grad
+
+    for got, want in zip(grads(True), grads(False)):
+        npt.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("training", [True, False])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densect.data import StudyRecord, synth_generate
+from densect.data import StudyRecord, load_study_image, synth_generate
 from densect.gradcheck import grad_check
 from densect.model import REDUCED, DenseNetModel
 from densect.preprocess import PreprocessConfig
@@ -373,6 +373,18 @@ def test_evaluate_reports_consistent_table(synth_dir):
     assert result.joint_accuracy == pytest.approx(
         joint_accuracy(np.array(table_pred), np.array(table_target)))
     assert np.isfinite(result.loss)
+
+
+def test_evaluate_scores_as_predict_does_and_validates_threshold(synth_dir):
+    model = DenseNetModel(REDUCED, seed=6)
+    result = evaluate(model, synth_dir, CFG32, batch_size=8, threshold=0.3)
+    images = np.stack([load_study_image(r, CFG32) for r in synth_dir])[:, None]
+    probs, labels = predict(model, images.astype(np.float32), threshold=0.3)
+    table = result.per_patient
+    npt.assert_array_equal([[r.prob_covid, r.prob_severe] for r in table], probs)
+    npt.assert_array_equal([[r.pred_covid, r.pred_severe] for r in table], labels)
+    with pytest.raises(ValueError, match="threshold"):
+        evaluate(model, synth_dir, CFG32, threshold=1.5)
 
 
 def test_evaluate_loss_is_dataset_mean(synth_dir):
