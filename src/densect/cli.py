@@ -4,6 +4,12 @@ Subcommands: train, evaluate, predict, describe, synth, curves. Settings
 resolve in three layers — built-in defaults, then a key=value config file,
 then explicit flags — and unknown keys anywhere are an error, not a warning.
 
+Every setting is both a config-file key and a ``--kebab-case`` flag
+(``batch_size`` is ``--batch-size``); the keys, defaults and value types are
+the TrainConfig and PreprocessConfig fields. train takes every setting,
+evaluate takes batch_size, threshold and the preprocessing keys, and predict
+takes threshold and the preprocessing keys.
+
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 (unreadable volume, malformed reference, bad checkpoint), 3 divergence.
 """
@@ -14,10 +20,8 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .data import DataError, load_reference, synth_generate
 from .mha import MhaError, read_mha_file, to_hounsfield
@@ -26,6 +30,7 @@ from .preprocess import PreprocessConfig, PreprocessError, preprocess
 from .training import (
     PRESETS,
     DivergenceError,
+    PatientEval,
     TrainConfig,
     evaluate,
     metrics_from_csv,
@@ -47,26 +52,26 @@ def _optional_float(raw: str) -> Optional[float]:
     return None if raw.lower() in ("none", "") else float(raw)
 
 
-def _settings(config: TrainConfig) -> dict:
-    """The flat key -> value form of a config: every TrainConfig field but
-    ``preprocess``, then every PreprocessConfig field, with ``clip_window``
-    split into ``clip_lo`` and ``clip_hi``."""
-    pre = config.preprocess
-    flat = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "preprocess"}
-    flat.update({f.name: getattr(pre, f.name) for f in fields(pre) if f.name != "clip_window"})
+def _preprocess_settings(pre: PreprocessConfig) -> dict:
+    """The flat key -> value form of a PreprocessConfig: every field, with
+    ``clip_window`` split into ``clip_lo`` and ``clip_hi``."""
+    flat = {f.name: getattr(pre, f.name) for f in fields(pre) if f.name != "clip_window"}
     flat["clip_lo"], flat["clip_hi"] = pre.clip_window
     return flat
 
 
-_CONVERTERS = {
-    "preset": str, "epochs": int, "batch_size": int, "lr": float, "seed": int,
-    "val_count": int, "threshold": float, "checkpoint_every": int,
-    "stop_accuracy": _optional_float, "target_size": int, "crop_policy": str,
-    "crop_fraction": float, "slice_policy": str, "slice_index": int,
-    "clip_lo": float, "clip_hi": float,
-}
-# key -> (converter, default); the defaults are the config dataclasses' own
-_SCHEMA = {key: (_CONVERTERS[key], default) for key, default in _settings(TrainConfig()).items()}
+def _settings(config: TrainConfig) -> dict:
+    """The flat key -> value form of a config: every TrainConfig field but
+    ``preprocess``, then the flat form of ``preprocess``."""
+    flat = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "preprocess"}
+    return flat | _preprocess_settings(config.preprocess)
+
+
+# key -> (converter, default), both taken from the config dataclasses' defaults;
+# the one default of None (stop_accuracy) marks an optional float
+_SCHEMA = {key: (_optional_float if default is None else type(default), default)
+           for key, default in _settings(TrainConfig()).items()}
+_PREPROCESS_KEYS = list(_preprocess_settings(PreprocessConfig()))
 
 
 def _read_config_file(path: str) -> dict:
@@ -126,22 +131,22 @@ def _train_config(s: dict) -> TrainConfig:
     return TrainConfig(preprocess=_preprocess_config(s), **{k: s[k] for k in keys})
 
 
-def _add_preprocess_flags(p: argparse.ArgumentParser):
-    p.add_argument("--target-size", dest="target_size", type=int)
-    p.add_argument("--clip-lo", dest="clip_lo", type=float)
-    p.add_argument("--clip-hi", dest="clip_hi", type=float)
-    p.add_argument("--crop-policy", dest="crop_policy")
-    p.add_argument("--crop-fraction", dest="crop_fraction", type=float)
-    p.add_argument("--slice-policy", dest="slice_policy")
-    p.add_argument("--slice-index", dest="slice_index", type=int)
-
-
-def _add_config_flag(p: argparse.ArgumentParser):
+def _add_setting_flags(p: argparse.ArgumentParser, keys: Sequence[str]):
+    """``--config`` plus a ``--kebab-case`` flag for each setting key, with
+    the converter the config file uses for that key."""
     p.add_argument("--config", help="key=value settings file")
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key][0])
 
 
-def _load_model(path: str) -> DenseNetModel:
-    return DenseNetModel.load_checkpoint(path)
+def _resolve_with_checkpoint(args) -> tuple[dict, DenseNetModel]:
+    """Resolve settings and load ``args.checkpoint``; unless set explicitly,
+    ``target_size`` is the checkpoint's input size."""
+    settings, provided = _resolve(args)
+    model = DenseNetModel.load_checkpoint(args.checkpoint)
+    if "target_size" not in provided:
+        settings["target_size"] = model.config.input_size
+    return settings, model
 
 
 # --------------------------------------------------------------------------
@@ -162,10 +167,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    settings, provided = _resolve(args)
-    model = _load_model(args.checkpoint)
-    if "target_size" not in provided:
-        settings["target_size"] = model.config.input_size
+    settings, model = _resolve_with_checkpoint(args)
     records = load_reference(os.path.join(args.data, "reference.csv"))
     result = evaluate(model, records, _preprocess_config(settings),
                       batch_size=settings["batch_size"],
@@ -178,25 +180,16 @@ def cmd_evaluate(args) -> int:
     print(f"loss={result.loss:.4f} joint_accuracy={result.joint_accuracy:.4f}")
     with open(args.report, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("patient_id", "prob_covid", "prob_severe",
-                         "pred_covid", "pred_severe",
-                         "label_covid", "label_severe"))
-        for row in result.per_patient:
-            writer.writerow((row.patient_id,
-                             repr(row.prob_covid), repr(row.prob_severe),
-                             row.pred_covid, row.pred_severe,
-                             row.label_covid, row.label_severe))
+        writer.writerow(f.name for f in fields(PatientEval))
+        writer.writerows(astuple(row) for row in result.per_patient)
     return 0
 
 
 def cmd_predict(args) -> int:
-    settings, provided = _resolve(args)
-    model = _load_model(args.checkpoint)
-    if "target_size" not in provided:
-        settings["target_size"] = model.config.input_size
+    settings, model = _resolve_with_checkpoint(args)
     volume = to_hounsfield(read_mha_file(args.input))
     image = preprocess(volume, _preprocess_config(settings))
-    batch = image.pixels[None, None, :, :].astype(np.float32)
+    batch = image.pixels[None, None, :, :]
     probs, labels = predict(model, batch, threshold=settings["threshold"])
     print(f"prob_covid={probs[0, 0]:.4f} prob_severe={probs[0, 1]:.4f} "
           f"covid={labels[0, 0]} severe={labels[0, 1]}")
@@ -205,7 +198,7 @@ def cmd_predict(args) -> int:
 
 def cmd_describe(args) -> int:
     if args.checkpoint is not None:
-        model = _load_model(args.checkpoint)
+        model = DenseNetModel.load_checkpoint(args.checkpoint)
         config = model.config
         n_params = model.count_params()
     else:
@@ -287,17 +280,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True,
                    help="directory with reference.csv and data/*.mha")
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    _add_config_flag(p)
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--val-count", dest="val_count", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--stop-accuracy", dest="stop_accuracy", type=_optional_float)
-    _add_preprocess_flags(p)
+    _add_setting_flags(p, list(_SCHEMA))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
@@ -305,18 +288,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--report", default="evaluation.csv",
                    help="where to write the per-patient CSV")
-    _add_config_flag(p)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--threshold", type=float)
-    _add_preprocess_flags(p)
+    _add_setting_flags(p, ["batch_size", "threshold", *_PREPROCESS_KEYS])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify a single .mha volume")
     p.add_argument("--input", required=True, help="volume file (.mha)")
     p.add_argument("--checkpoint", required=True)
-    _add_config_flag(p)
-    p.add_argument("--threshold", type=float)
-    _add_preprocess_flags(p)
+    _add_setting_flags(p, ["threshold", *_PREPROCESS_KEYS])
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("describe", help="print the architecture plan")

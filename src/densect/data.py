@@ -184,7 +184,7 @@ def batches(records: Sequence[StudyRecord], batch_size: int,
         labels = np.array([[r.label_covid, r.label_severe] for r in chunk],
                           dtype=np.float32)
         yield Batch(
-            images=images[:, None, :, :].astype(np.float32),
+            images=images[:, None, :, :],
             labels=labels,
             patient_ids=tuple(r.patient_id for r in chunk),
         )

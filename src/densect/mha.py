@@ -15,6 +15,7 @@ are rejected explicitly.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -29,15 +30,7 @@ ELEMENT_TYPES = {
     "MET_FLOAT": "f4",
     "MET_DOUBLE": "f8",
 }
-_DTYPE_TO_ELEMENT = {
-    np.dtype(np.uint8): "MET_UCHAR",
-    np.dtype(np.int8): "MET_CHAR",
-    np.dtype(np.int16): "MET_SHORT",
-    np.dtype(np.uint16): "MET_USHORT",
-    np.dtype(np.int32): "MET_INT",
-    np.dtype(np.float32): "MET_FLOAT",
-    np.dtype(np.float64): "MET_DOUBLE",
-}
+_DTYPE_TO_ELEMENT = {np.dtype(base): element for element, base in ELEMENT_TYPES.items()}
 
 # recognized keys the writer re-derives; everything else round-trips verbatim
 _CANONICAL_KEYS = ("ObjectType", "NDims", "DimSize", "ElementType", "ElementSpacing",
@@ -94,10 +87,7 @@ class MhaHeader:
             raise MalformedHeaderError(f"DimSize entries must be positive, got {self.dim_size}")
 
     def voxel_count(self) -> int:
-        n = 1
-        for d in self.dim_size:
-            n *= d
-        return n
+        return math.prod(self.dim_size)
 
 
 @dataclass

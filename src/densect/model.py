@@ -127,6 +127,8 @@ def _he_conv(rng: np.random.Generator | None, out_c, in_c, kh, kw, dtype) -> Ten
 
 
 class Conv2d:
+    STATE = ("weight",)
+
     def __init__(self, rng, in_c, out_c, kernel, stride=1, padding=0, dtype=np.float32):
         self.stride, self.padding = stride, padding
         self.weight = _he_conv(rng, out_c, in_c, kernel, kernel, dtype)
@@ -134,14 +136,10 @@ class Conv2d:
     def __call__(self, x):
         return conv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
-    def named_params(self):
-        yield "weight", self.weight
-
-    def named_buffers(self):
-        return iter(())
-
 
 class BatchNorm2d:
+    STATE = ("gamma", "beta", "running_mean", "running_var")
+
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
         self.eps, self.momentum = eps, momentum
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True, dtype=dtype)
@@ -153,16 +151,10 @@ class BatchNorm2d:
         return batchnorm2d(x, self.gamma, self.beta, self.running_mean, self.running_var,
                            eps=self.eps, momentum=self.momentum, training=training)
 
-    def named_params(self):
-        yield "gamma", self.gamma
-        yield "beta", self.beta
-
-    def named_buffers(self):
-        yield "running_mean", self.running_mean
-        yield "running_var", self.running_var
-
 
 class Linear:
+    STATE = ("weight", "bias")
+
     def __init__(self, rng, in_f, out_f, dtype=np.float32):
         if rng is None:   # zeros for a checkpoint to overwrite
             w = np.zeros((out_f, in_f), dtype=dtype)
@@ -173,13 +165,6 @@ class Linear:
 
     def __call__(self, x):
         return linear(x, self.weight, self.bias)
-
-    def named_params(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
-
-    def named_buffers(self):
-        return iter(())
 
 
 class DenseLayer:
@@ -196,9 +181,6 @@ class DenseLayer:
         h = self.conv1(relu(self.bn1(x, training)))
         return self.conv2(relu(self.bn2(h, training)))
 
-    def children(self):
-        return [("bn1", self.bn1), ("conv1", self.conv1), ("bn2", self.bn2), ("conv2", self.conv2)]
-
 
 class DenseBlock:
     def __init__(self, rng, in_c, layers, cfg: DenseNetConfig, dtype):
@@ -214,9 +196,6 @@ class DenseBlock:
             x = concat_channels([x, layer(x, training)])
         return x
 
-    def children(self):
-        return [(f"layer{i + 1}", l) for i, l in enumerate(self.layers)]
-
 
 class Transition:
     """BN-ReLU-conv1x1 (compression) followed by 2x2 stride-2 average pool."""
@@ -230,12 +209,9 @@ class Transition:
         h = self.conv(relu(self.bn(x, training)))
         return pool2d(h, "average", kernel=2, stride=2)
 
-    def children(self):
-        return [("bn", self.bn), ("conv", self.conv)]
-
 
 class DenseNetModel:
-    """The full network; construction order fixes parameter enumeration order.
+    """The full network; ``_modules`` fixes the state enumeration order.
 
     Parameter values are drawn from a single seeded generator (He-style
     normal for convolutions, 1/sqrt(fan_in) normal for the head weight,
@@ -245,11 +221,10 @@ class DenseNetModel:
 
     def __init__(self, config: DenseNetConfig = DENSENET121, seed: int = 0,
                  dtype=np.float32):
-        self._build(config, seed, dtype, np.random.default_rng(seed))
+        self._build(config, dtype, np.random.default_rng(seed))
 
-    def _build(self, config, seed, dtype, rng):
+    def _build(self, config, dtype, rng):
         self.config = config
-        self.seed = seed
         self.dtype = np.dtype(dtype).type
         cfg, dt = config, self.dtype
         self.stem_conv = Conv2d(rng, cfg.input_channels, cfg.init_channels,
@@ -273,37 +248,30 @@ class DenseNetModel:
     # -- structure ---------------------------------------------------------
 
     def _modules(self) -> Iterator[tuple[str, object]]:
+        """(name prefix, leaf module) pairs in checkpoint order."""
         yield "stem.conv", self.stem_conv
         yield "stem.bn", self.stem_bn
-        for i in range(4):
-            for name, child in self.blocks[i].children():
-                for sub, mod in child.children():
-                    yield f"block{i + 1}.{name}.{sub}", mod
-            if i < 3:
-                for sub, mod in self.transitions[i].children():
-                    yield f"trans{i + 1}.{sub}", mod
+        for i, block in enumerate(self.blocks, start=1):
+            for j, layer in enumerate(block.layers, start=1):
+                for sub in ("bn1", "conv1", "bn2", "conv2"):
+                    yield f"block{i}.layer{j}.{sub}", getattr(layer, sub)
+            if i < 4:
+                for sub in ("bn", "conv"):
+                    yield f"trans{i}.{sub}", getattr(self.transitions[i - 1], sub)
         yield "final_bn", self.final_bn
         yield "fc", self.fc
 
+    def named_state(self) -> list[tuple[str, Tensor]]:
+        """Every leaf module's ``STATE`` tensors (parameters and batch-norm
+        running buffers) in checkpoint order."""
+        return [(f"{prefix}.{name}", getattr(mod, name))
+                for prefix, mod in self._modules() for name in mod.STATE]
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for prefix, mod in self._modules():
-            for pname, p in mod.named_params():
-                out.append((f"{prefix}.{pname}", p))
-        return out
+        return [(name, t) for name, t in self.named_state() if t.requires_grad]
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def named_state(self) -> list[tuple[str, Tensor]]:
-        """Parameters plus batch-norm running buffers, in enumeration order."""
-        out = []
-        for prefix, mod in self._modules():
-            for pname, p in mod.named_params():
-                out.append((f"{prefix}.{pname}", p))
-            for bname, b in mod.named_buffers():
-                out.append((f"{prefix}.{bname}", b))
-        return out
 
     def count_params(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -422,7 +390,7 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
     # zero weights instead of a seeded draw: every entry is overwritten
     # below (the count, names, duplicates and shapes are all checked)
     model = DenseNetModel.__new__(DenseNetModel)
-    model._build(config, 0, dtype, rng=None)
+    model._build(config, dtype, rng=None)
     expected = dict(model.named_state())
     (n_entries,) = r.unpack("<I")
     if n_entries != len(expected):

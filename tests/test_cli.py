@@ -1,5 +1,6 @@
 """CLI tests: run main() in process and assert on exit codes and output."""
 
+import argparse
 import re
 import subprocess
 import sys
@@ -143,11 +144,56 @@ def test_config_missing_file(capsys):
     assert "config" in err
 
 
-def test_invalid_parameter_value_is_usage_error(dataset, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("epochs", "0"), ("preset", "vgg")],
+                         ids=["epochs", "preset"])
+def test_invalid_parameter_value_is_usage_error(key, value, dataset, tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--data", str(dataset),
-                           "--out", str(tmp_path / "o"), "--epochs", "0")
+                           "--out", str(tmp_path / "o"), f"--{key}", value)
     assert code == 1
-    assert "epochs" in err
+    assert key in err
+
+
+# ---------------------------------------------------------------- setting flags
+
+PREPROCESS_FLAGS = {"--target-size", "--clip-lo", "--clip-hi", "--crop-policy",
+                    "--crop-fraction", "--slice-policy", "--slice-index"}
+SETTING_FLAGS = {
+    "train": {"--preset", "--epochs", "--batch-size", "--lr", "--seed",
+              "--val-count", "--threshold", "--checkpoint-every",
+              "--stop-accuracy"} | PREPROCESS_FLAGS,
+    "evaluate": {"--batch-size", "--threshold"} | PREPROCESS_FLAGS,
+    "predict": {"--threshold"} | PREPROCESS_FLAGS,
+}
+OTHER_FLAGS = {
+    "train": {"--data", "--out"},
+    "evaluate": {"--data", "--checkpoint", "--report"},
+    "predict": {"--input", "--checkpoint"},
+}
+
+
+@pytest.mark.parametrize("command, count", [("train", 16), ("evaluate", 9), ("predict", 8)])
+def test_subcommand_exposes_exactly_its_setting_flags(command, count):
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for action in subparsers.choices[command]._actions
+             for opt in action.option_strings}
+    assert len(SETTING_FLAGS[command]) == count
+    assert flags == (SETTING_FLAGS[command] | OTHER_FLAGS[command]
+                     | {"--config", "-h", "--help"})
+
+
+@pytest.mark.parametrize("flag, raw, read, expected", [
+    ("--lr", "1e-3", lambda c: c.lr, 1e-3),
+    ("--slice-index", "2", lambda c: c.preprocess.slice_index, 2),
+    ("--clip-lo", "-900", lambda c: c.preprocess.clip_window[0], -900.0),
+    ("--stop-accuracy", "none", lambda c: c.stop_accuracy, None),
+], ids=["lr", "slice-index", "clip-lo", "stop-accuracy"])
+def test_setting_flag_reaches_the_config_with_the_field_type(flag, raw, read, expected):
+    args = _build_parser().parse_args(["train", "--data", "d", "--out", "o", flag, raw])
+    value = read(_train_config(_resolve(args)[0]))
+    assert value == expected
+    assert type(value) is type(expected)
 
 
 # ---------------------------------------------------------------- data errors

@@ -211,6 +211,31 @@ def test_named_parameters_stable_unique_and_complete():
     assert len(state_names) == 52 + 34
 
 
+def test_named_state_pins_the_checkpoint_entry_order():
+    # the checkpoint format: names and order re-derived by plain loops
+    bn = ["gamma", "beta", "running_mean", "running_var"]
+    expected = ["stem.conv.weight"] + [f"stem.bn.{t}" for t in bn]
+    for i, layers in enumerate(REDUCED.block_layers, start=1):
+        for j in range(1, layers + 1):
+            for norm, conv in (("bn1", "conv1"), ("bn2", "conv2")):
+                expected += [f"block{i}.layer{j}.{norm}.{t}" for t in bn]
+                expected.append(f"block{i}.layer{j}.{conv}.weight")
+        if i < 4:
+            expected += [f"trans{i}.bn.{t}" for t in bn] + [f"trans{i}.conv.weight"]
+    expected += [f"final_bn.{t}" for t in bn] + ["fc.weight", "fc.bias"]
+    model = DenseNetModel(REDUCED, seed=0)
+    state = model.named_state()
+    assert len(expected) == 86
+    assert [n for n, _ in state] == expected
+    # the parameters are the trainable subsequence: all but the running buffers
+    trainable = [(n, t) for n, t in state if t.requires_grad]
+    assert [n for n, _ in trainable] == [n for n in expected if ".running_" not in n]
+    assert len(trainable) == 52
+    params = model.named_parameters()
+    assert [n for n, _ in params] == [n for n, _ in trainable]
+    assert all(p is t for (_, p), (_, t) in zip(params, trainable))
+
+
 def test_same_seed_bit_identical_different_seed_not():
     a = DenseNetModel(REDUCED, seed=42)
     b = DenseNetModel(REDUCED, seed=42)
