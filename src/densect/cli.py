@@ -105,20 +105,14 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args) -> tuple[dict, set]:
-    """Defaults < config file < flags. Returns (settings, explicitly-set keys)."""
-    settings = {key: default for key, (_, default) in _SCHEMA.items()}
-    provided = set()
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        from_file = _read_config_file(config_path)
-        settings.update(from_file)
-        provided.update(from_file)
-    for key in _SCHEMA:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-            provided.add(key)
-    return settings, provided
+    """Defaults < config file < flags; a setting counts as given when its
+    flag is present, whatever its value (``--stop-accuracy none`` beats the
+    file). Returns (settings, explicitly-set keys)."""
+    given = vars(args)
+    explicit = _read_config_file(given["config"]) if "config" in given else {}
+    explicit |= {key: given[key] for key in _SCHEMA if key in given}
+    defaults = {key: default for key, (_, default) in _SCHEMA.items()}
+    return defaults | explicit, set(explicit)
 
 
 def _preprocess_config(s: dict) -> PreprocessConfig:
@@ -133,10 +127,12 @@ def _train_config(s: dict) -> TrainConfig:
 
 def _add_setting_flags(p: argparse.ArgumentParser, keys: Sequence[str]):
     """``--config`` plus a ``--kebab-case`` flag for each setting key, with
-    the converter the config file uses for that key."""
-    p.add_argument("--config", help="key=value settings file")
+    the converter the config file uses for that key. A flag left out leaves
+    no attribute, so ``_resolve`` can tell it from a given ``none``."""
+    p.add_argument("--config", default=argparse.SUPPRESS, help="key=value settings file")
     for key in keys:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key][0])
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key][0],
+                       default=argparse.SUPPRESS)
 
 
 def _resolve_with_checkpoint(args) -> tuple[dict, DenseNetModel]:

@@ -118,20 +118,13 @@ def feature_map_plan(config: DenseNetConfig) -> list[tuple[str, int, int]]:
 # layers
 
 
-def _he_conv(rng: np.random.Generator | None, out_c, in_c, kh, kw, dtype) -> Tensor:
-    if rng is None:   # zeros for a checkpoint to overwrite
-        return Tensor(np.zeros((out_c, in_c, kh, kw), dtype=dtype), requires_grad=True, dtype=dtype)
-    std = np.sqrt(2.0 / (in_c * kh * kw))
-    w = rng.standard_normal((out_c, in_c, kh, kw)) * std
-    return Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
-
-
 class Conv2d:
     STATE = ("weight",)
 
-    def __init__(self, rng, in_c, out_c, kernel, stride=1, padding=0, dtype=np.float32):
+    def __init__(self, in_c, out_c, kernel, stride=1, padding=0):
         self.stride, self.padding = stride, padding
-        self.weight = _he_conv(rng, out_c, in_c, kernel, kernel, dtype)
+        self.weight = Tensor(np.zeros((out_c, in_c, kernel, kernel), dtype=np.float32),
+                             requires_grad=True)
 
     def __call__(self, x):
         return conv2d(x, self.weight, stride=self.stride, padding=self.padding)
@@ -140,12 +133,12 @@ class Conv2d:
 class BatchNorm2d:
     STATE = ("gamma", "beta", "running_mean", "running_var")
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
+    def __init__(self, channels, eps, momentum):
         self.eps, self.momentum = eps, momentum
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.running_mean = Tensor(np.zeros(channels, dtype=dtype), dtype=dtype)
-        self.running_var = Tensor(np.ones(channels, dtype=dtype), dtype=dtype)
+        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+        self.running_mean = Tensor(np.zeros(channels, dtype=np.float32))
+        self.running_var = Tensor(np.ones(channels, dtype=np.float32))
 
     def __call__(self, x, training):
         return batchnorm2d(x, self.gamma, self.beta, self.running_mean, self.running_var,
@@ -155,13 +148,9 @@ class BatchNorm2d:
 class Linear:
     STATE = ("weight", "bias")
 
-    def __init__(self, rng, in_f, out_f, dtype=np.float32):
-        if rng is None:   # zeros for a checkpoint to overwrite
-            w = np.zeros((out_f, in_f), dtype=dtype)
-        else:
-            w = (rng.standard_normal((out_f, in_f)) * np.sqrt(1.0 / in_f)).astype(dtype)
-        self.weight = Tensor(w, requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_f, dtype=dtype), requires_grad=True, dtype=dtype)
+    def __init__(self, in_f, out_f):
+        self.weight = Tensor(np.zeros((out_f, in_f), dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_f, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
         return linear(x, self.weight, self.bias)
@@ -170,12 +159,12 @@ class Linear:
 class DenseLayer:
     """BN-ReLU-conv1x1 (bottleneck) then BN-ReLU-conv3x3 -> growth_rate channels."""
 
-    def __init__(self, rng, in_c, cfg: DenseNetConfig, dtype):
+    def __init__(self, in_c, cfg: DenseNetConfig):
         mid = cfg.bottleneck_factor * cfg.growth_rate
-        self.bn1 = BatchNorm2d(in_c, cfg.bn_eps, cfg.bn_momentum, dtype)
-        self.conv1 = Conv2d(rng, in_c, mid, kernel=1, dtype=dtype)
-        self.bn2 = BatchNorm2d(mid, cfg.bn_eps, cfg.bn_momentum, dtype)
-        self.conv2 = Conv2d(rng, mid, cfg.growth_rate, kernel=3, padding=1, dtype=dtype)
+        self.bn1 = BatchNorm2d(in_c, cfg.bn_eps, cfg.bn_momentum)
+        self.conv1 = Conv2d(in_c, mid, kernel=1)
+        self.bn2 = BatchNorm2d(mid, cfg.bn_eps, cfg.bn_momentum)
+        self.conv2 = Conv2d(mid, cfg.growth_rate, kernel=3, padding=1)
 
     def __call__(self, x, training):
         h = self.conv1(relu(self.bn1(x, training)))
@@ -183,11 +172,11 @@ class DenseLayer:
 
 
 class DenseBlock:
-    def __init__(self, rng, in_c, layers, cfg: DenseNetConfig, dtype):
+    def __init__(self, in_c, layers, cfg: DenseNetConfig):
         self.layers = []
         c = in_c
         for _ in range(layers):
-            self.layers.append(DenseLayer(rng, c, cfg, dtype))
+            self.layers.append(DenseLayer(c, cfg))
             c += cfg.growth_rate
         self.out_channels = c
 
@@ -200,10 +189,10 @@ class DenseBlock:
 class Transition:
     """BN-ReLU-conv1x1 (compression) followed by 2x2 stride-2 average pool."""
 
-    def __init__(self, rng, in_c, cfg: DenseNetConfig, dtype):
+    def __init__(self, in_c, cfg: DenseNetConfig):
         self.out_channels = int(in_c * cfg.compression)
-        self.bn = BatchNorm2d(in_c, cfg.bn_eps, cfg.bn_momentum, dtype)
-        self.conv = Conv2d(rng, in_c, self.out_channels, kernel=1, dtype=dtype)
+        self.bn = BatchNorm2d(in_c, cfg.bn_eps, cfg.bn_momentum)
+        self.conv = Conv2d(in_c, self.out_channels, kernel=1)
 
     def __call__(self, x, training):
         h = self.conv(relu(self.bn(x, training)))
@@ -213,37 +202,45 @@ class Transition:
 class DenseNetModel:
     """The full network; ``_modules`` fixes the state enumeration order.
 
-    Parameter values are drawn from a single seeded generator (He-style
-    normal for convolutions, 1/sqrt(fan_in) normal for the head weight,
-    ones/zeros for batch-norm affine terms), so two models built with the
-    same config, seed and dtype are bit-identical.
+    A model is allocated, then drawn or loaded. ``_build`` allocates every
+    state tensor in the requested dtype as zeros (ones for batch-norm
+    ``gamma`` and ``running_var``). A new model then draws each weight, in
+    ``named_parameters`` order from one generator seeded with ``seed``, from
+    a normal of std sqrt(gain / fan_in): gain 2 for convolutions (He), 1 for
+    the head, fan_in the product of all but the first axis. So models with
+    the same config, seed and dtype are bit-identical. A checkpoint load
+    takes every value from the checkpoint and draws nothing.
     """
 
     def __init__(self, config: DenseNetConfig = DENSENET121, seed: int = 0,
                  dtype=np.float32):
-        self._build(config, dtype, np.random.default_rng(seed))
+        self._build(config, dtype)
+        rng = np.random.default_rng(seed)
+        for _, p in self.named_parameters():
+            if p.ndim > 1:
+                gain = 2.0 if p.ndim == 4 else 1.0
+                p.data[...] = rng.standard_normal(p.shape) * np.sqrt(gain / math.prod(p.shape[1:]))
 
-    def _build(self, config, dtype, rng):
-        self.config = config
-        self.dtype = np.dtype(dtype).type
-        cfg, dt = config, self.dtype
-        self.stem_conv = Conv2d(rng, cfg.input_channels, cfg.init_channels,
-                                kernel=7, stride=2, padding=3, dtype=dt)
-        self.stem_bn = BatchNorm2d(cfg.init_channels, cfg.bn_eps, cfg.bn_momentum, dt)
+    def _build(self, config, dtype):
+        self.config = cfg = config
+        self.stem_conv = Conv2d(cfg.input_channels, cfg.init_channels, kernel=7, stride=2, padding=3)
+        self.stem_bn = BatchNorm2d(cfg.init_channels, cfg.bn_eps, cfg.bn_momentum)
         self.blocks: list[DenseBlock] = []
         self.transitions: list[Transition] = []
         c = cfg.init_channels
         for i, layers in enumerate(cfg.block_layers):
-            block = DenseBlock(rng, c, layers, cfg, dt)
+            block = DenseBlock(c, layers, cfg)
             self.blocks.append(block)
             c = block.out_channels
             if i < 3:
-                trans = Transition(rng, c, cfg, dt)
+                trans = Transition(c, cfg)
                 self.transitions.append(trans)
                 c = trans.out_channels
-        self.final_bn = BatchNorm2d(c, cfg.bn_eps, cfg.bn_momentum, dt)
+        self.final_bn = BatchNorm2d(c, cfg.bn_eps, cfg.bn_momentum)
         self.feature_channels = c
-        self.fc = Linear(rng, c, cfg.num_outputs, dtype=dt)
+        self.fc = Linear(c, cfg.num_outputs)
+        for _, t in self.named_state():
+            t.data = t.data.astype(dtype, copy=False)
 
     # -- structure ---------------------------------------------------------
 
@@ -346,11 +343,8 @@ def checkpoint_bytes(model: DenseNetModel) -> bytes:
     for name, t in state:
         nb = name.encode()
         payload = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", t.ndim))
-        parts.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        parts.append(struct.pack("<Q", len(payload)))
+        parts.append(struct.pack(f"<H{len(nb)}sB{t.ndim}IQ", len(nb), nb, t.ndim, *t.shape,
+                                 len(payload)))
         parts.append(payload)
     return b"".join(parts)
 
@@ -387,10 +381,10 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
     except (ValueError, TypeError, KeyError) as e:
         raise CheckpointError(f"bad embedded config: {e}") from None
 
-    # zero weights instead of a seeded draw: every entry is overwritten
-    # below (the count, names, duplicates and shapes are all checked)
+    # allocated, not drawn: every entry is overwritten below (the count,
+    # names, duplicates and shapes are all checked)
     model = DenseNetModel.__new__(DenseNetModel)
-    model._build(config, dtype, rng=None)
+    model._build(config, dtype)
     expected = dict(model.named_state())
     (n_entries,) = r.unpack("<I")
     if n_entries != len(expected):

@@ -124,13 +124,12 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else _scalar_error(self)
+        if self.size != 1:
+            raise ValueError(f"item() expects a single-element tensor, got shape {self.data.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def backward(self):
         backward(self)
@@ -191,10 +190,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _scalar_error(t):
-    raise ValueError(f"item() expects a single-element tensor, got shape {t.data.shape}")
-
-
 def _check_elementwise(a: Tensor, b: Tensor, opname: str):
     if not isinstance(b, Tensor):
         raise TypeError(f"{opname}: expected Tensor or scalar, got {type(b).__name__}")
@@ -252,11 +247,6 @@ def backward(loss: Tensor):
             else:
                 acc = pending.get(t.node)
                 pending[t.node] = gt if acc is None else acc + gt
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +485,8 @@ def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
     if not inputs:
         raise ShapeError("concat_channels: empty input list")
     first = inputs[0].data
-    for t in inputs[1:]:
-        if t.ndim != 4 or first.ndim != 4:
+    for t in inputs:
+        if t.ndim != 4:
             raise ShapeError("concat_channels: all inputs must be 4-D")
         if (t.data.shape[0], t.data.shape[2], t.data.shape[3]) != (first.shape[0], first.shape[2], first.shape[3]):
             raise ShapeError(

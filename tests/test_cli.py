@@ -196,6 +196,17 @@ def test_setting_flag_reaches_the_config_with_the_field_type(flag, raw, read, ex
     assert type(value) is type(expected)
 
 
+def test_explicit_none_flag_overrides_the_config_file(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("stop_accuracy = 1.0\n")
+    base = ["train", "--data", "d", "--out", "o", "--config", str(cfg)]
+    settings, provided = _resolve(_build_parser().parse_args(base))
+    assert settings["stop_accuracy"] == 1.0
+    settings, provided = _resolve(_build_parser().parse_args(base + ["--stop-accuracy", "none"]))
+    assert settings["stop_accuracy"] is None
+    assert "stop_accuracy" in provided
+
+
 # ---------------------------------------------------------------- data errors
 
 def test_missing_reference_is_data_error(tmp_path, capsys):

@@ -247,6 +247,54 @@ def test_same_seed_bit_identical_different_seed_not():
                for (_, pa), (_, pc) in zip(a.named_parameters(), c.named_parameters()))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_initial_state_follows_the_documented_draw(dtype):
+    # the weights re-drawn by plain loops over the architecture, in build
+    # order: stem, conv1 and conv2 of each dense layer, each transition, fc
+    cfg = REDUCED
+    rng = np.random.default_rng(7)
+
+    def draw(shape, gain):
+        fan_in = int(np.prod(shape[1:]))
+        return (rng.standard_normal(shape) * np.sqrt(gain / fan_in)).astype(dtype)
+
+    expected = {"stem.conv.weight": draw((cfg.init_channels, cfg.input_channels, 7, 7), 2.0)}
+    c, mid = cfg.init_channels, cfg.bottleneck_factor * cfg.growth_rate
+    for i, layers in enumerate(cfg.block_layers, start=1):
+        for j in range(1, layers + 1):
+            expected[f"block{i}.layer{j}.conv1.weight"] = draw((mid, c, 1, 1), 2.0)
+            expected[f"block{i}.layer{j}.conv2.weight"] = draw((cfg.growth_rate, mid, 3, 3), 2.0)
+            c += cfg.growth_rate
+        if i < 4:
+            out = int(c * cfg.compression)
+            expected[f"trans{i}.conv.weight"] = draw((out, c, 1, 1), 2.0)
+            c = out
+    expected["fc.weight"] = draw((cfg.num_outputs, c), 1.0)
+
+    model = DenseNetModel(cfg, seed=7, dtype=dtype)
+    state = dict(model.named_state())
+    assert expected.keys() <= state.keys()
+    for name, t in state.items():
+        assert t.data.dtype == dtype, name
+        if name in expected:
+            npt.assert_array_equal(t.data, expected[name], err_msg=name)
+        elif name.endswith((".gamma", ".running_var")):
+            npt.assert_array_equal(t.data, np.ones(t.shape, dtype), err_msg=name)
+        else:
+            npt.assert_array_equal(t.data, np.zeros(t.shape, dtype), err_msg=name)
+
+
+def test_loading_a_checkpoint_draws_nothing(monkeypatch):
+    buf = checkpoint_bytes(DenseNetModel(REDUCED, seed=7))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew from a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    clone = model_from_checkpoint_bytes(buf)
+    assert checkpoint_bytes(clone) == buf
+
+
 def test_training_forward_updates_running_stats_eval_does_not():
     model = DenseNetModel(REDUCED, seed=0)
     bn = model.blocks[0].layers[0].bn1

@@ -471,6 +471,8 @@ def test_concat_rejects_spatial_mismatch():
         concat_channels([Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 2)))])
     with pytest.raises(ShapeError):
         concat_channels([])
+    with pytest.raises(ShapeError):
+        concat_channels([Tensor(np.zeros((2, 3)))])
 
 
 # ---------------------------------------------------------------------------
