@@ -20,7 +20,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 from typing import Optional, Sequence
 
 from .data import DataError, load_reference, synth_generate
@@ -52,26 +52,15 @@ def _optional_float(raw: str) -> Optional[float]:
     return None if raw.lower() in ("none", "") else float(raw)
 
 
-def _preprocess_settings(pre: PreprocessConfig) -> dict:
-    """The flat key -> value form of a PreprocessConfig: every field, with
-    ``clip_window`` split into ``clip_lo`` and ``clip_hi``."""
-    flat = {f.name: getattr(pre, f.name) for f in fields(pre) if f.name != "clip_window"}
-    flat["clip_lo"], flat["clip_hi"] = pre.clip_window
-    return flat
-
-
-def _settings(config: TrainConfig) -> dict:
-    """The flat key -> value form of a config: every TrainConfig field but
-    ``preprocess``, then the flat form of ``preprocess``."""
-    flat = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "preprocess"}
-    return flat | _preprocess_settings(config.preprocess)
-
-
-# key -> (converter, default), both taken from the config dataclasses' defaults;
-# the one default of None (stop_accuracy) marks an optional float
+# the flat key -> default form of TrainConfig(): every field but
+# ``preprocess``, then every PreprocessConfig field
+_DEFAULTS = asdict(TrainConfig())
+_DEFAULTS |= _DEFAULTS.pop("preprocess")
+# key -> (converter, default); the one default of None (stop_accuracy) marks
+# an optional float
 _SCHEMA = {key: (_optional_float if default is None else type(default), default)
-           for key, default in _settings(TrainConfig()).items()}
-_PREPROCESS_KEYS = list(_preprocess_settings(PreprocessConfig()))
+           for key, default in _DEFAULTS.items()}
+_PREPROCESS_KEYS = [f.name for f in fields(PreprocessConfig)]
 
 
 def _read_config_file(path: str) -> dict:
@@ -111,13 +100,11 @@ def _resolve(args) -> tuple[dict, set]:
     given = vars(args)
     explicit = _read_config_file(given["config"]) if "config" in given else {}
     explicit |= {key: given[key] for key in _SCHEMA if key in given}
-    defaults = {key: default for key, (_, default) in _SCHEMA.items()}
-    return defaults | explicit, set(explicit)
+    return _DEFAULTS | explicit, set(explicit)
 
 
 def _preprocess_config(s: dict) -> PreprocessConfig:
-    keys = [f.name for f in fields(PreprocessConfig) if f.name != "clip_window"]
-    return PreprocessConfig(clip_window=(s["clip_lo"], s["clip_hi"]), **{k: s[k] for k in keys})
+    return PreprocessConfig(**{k: s[k] for k in _PREPROCESS_KEYS})
 
 
 def _train_config(s: dict) -> TrainConfig:
@@ -202,7 +189,7 @@ def cmd_describe(args) -> int:
             raise UsageError(f"preset must be one of {sorted(PRESETS)}, "
                              f"got {args.preset!r}")
         config = PRESETS[args.preset]
-        n_params = DenseNetModel(config, seed=0).count_params()
+        n_params = DenseNetModel.allocated(config).count_params()
     for name, spatial, channels in feature_map_plan(config):
         print(f"{name:<14}{spatial:>8}{channels:>10}")
     layers = weighted_layer_count(config)
@@ -249,14 +236,13 @@ def cmd_curves(args) -> int:
         writer.writerow(("epoch", "train_loss", "val_loss",
                          "train_loss_ma", "val_loss_ma"))
         for i, m in enumerate(metrics):
-            writer.writerow((m.epoch, repr(m.train_loss), repr(m.val_loss),
-                             repr(train_ma[i]), repr(val_ma[i])))
+            writer.writerow((m.epoch, m.train_loss, m.val_loss, train_ma[i], val_ma[i]))
     acc_path = os.path.join(args.out_dir, "accuracy.csv")
     with open(acc_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("epoch", "val_accuracy", "val_accuracy_ma"))
         for i, m in enumerate(metrics):
-            writer.writerow((m.epoch, repr(m.val_accuracy), repr(acc_ma[i])))
+            writer.writerow((m.epoch, m.val_accuracy, acc_ma[i]))
     print(f"wrote {loss_path} and {acc_path} "
           f"({len(epochs)} epochs, window {args.window})")
     return 0

@@ -15,6 +15,7 @@ are rejected explicitly.
 
 from __future__ import annotations
 
+import copy
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -309,29 +310,28 @@ def write_mha_file(path: str, volume: Volume, compress: bool = False):
         f.write(write_mha(volume, compress=compress))
 
 
+def _rescale_value(raw: dict, key: str, default: float) -> float:
+    if key not in raw:
+        return default
+    values = _parse_floats(raw[key], key)
+    if len(values) != 1:
+        raise MalformedHeaderError(f"{key}: expected one number, got {raw[key]!r}")
+    return values[0]
+
+
 def to_hounsfield(volume: Volume) -> Volume:
-    """Float32 copy of the volume, applying RescaleSlope/RescaleIntercept if present."""
-    slope = 1.0
-    intercept = 0.0
+    """Float32 copy of the volume, applying RescaleSlope/RescaleIntercept if
+    present; each must hold exactly one finite number."""
     raw = volume.header.raw_fields
-    if "RescaleSlope" in raw:
-        slope = _parse_floats(raw["RescaleSlope"], "RescaleSlope")[0]
-    if "RescaleIntercept" in raw:
-        intercept = _parse_floats(raw["RescaleIntercept"], "RescaleIntercept")[0]
+    slope = _rescale_value(raw, "RescaleSlope", 1.0)
+    intercept = _rescale_value(raw, "RescaleIntercept", 0.0)
     vox = volume.voxels.astype(np.float32)
     if slope != 1.0 or intercept != 0.0:
         # in place on the copy: the float32 operations of vox*slope + intercept
         vox *= np.float32(slope)
         vox += np.float32(intercept)
-    header = MhaHeader(
-        ndims=volume.header.ndims,
-        dim_size=list(volume.header.dim_size),
-        element_type="MET_FLOAT",
-        element_spacing=list(volume.header.element_spacing),
-        offset=list(volume.header.offset),
-        transform_matrix=list(volume.header.transform_matrix),
-        compressed=volume.header.compressed,
-        raw_fields={k: v for k, v in raw.items()
-                    if k not in ("RescaleSlope", "RescaleIntercept")},
-    )
+    header = copy.deepcopy(volume.header)
+    header.element_type = "MET_FLOAT"
+    header.raw_fields.pop("RescaleSlope", None)
+    header.raw_fields.pop("RescaleIntercept", None)
     return Volume(header=header, voxels=vox)

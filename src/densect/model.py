@@ -221,6 +221,14 @@ class DenseNetModel:
                 gain = 2.0 if p.ndim == 4 else 1.0
                 p.data[...] = rng.standard_normal(p.shape) * np.sqrt(gain / math.prod(p.shape[1:]))
 
+    @classmethod
+    def allocated(cls, config: DenseNetConfig, dtype=np.float32) -> "DenseNetModel":
+        """A model whose state is allocated by ``_build`` and not drawn, for
+        a checkpoint load to fill in or a parameter count to read."""
+        model = cls.__new__(cls)
+        model._build(config, dtype)
+        return model
+
     def _build(self, config, dtype):
         self.config = cfg = config
         self.stem_conv = Conv2d(cfg.input_channels, cfg.init_channels, kernel=7, stride=2, padding=3)
@@ -333,9 +341,7 @@ def checkpoint_bytes(model: DenseNetModel) -> bytes:
     u32 n_entries | entries. Each entry: u16 name_len | name utf-8 |
     u8 ndim | u32 * ndim dims | u64 payload_len | float32 LE payload.
     """
-    cfg = asdict(model.config)
-    cfg["block_layers"] = list(model.config.block_layers)
-    cfg_json = json.dumps(cfg, sort_keys=True).encode()
+    cfg_json = json.dumps(asdict(model.config), sort_keys=True).encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<I", len(cfg_json)), cfg_json]
     state = model.named_state()
@@ -383,8 +389,7 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
 
     # allocated, not drawn: every entry is overwritten below (the count,
     # names, duplicates and shapes are all checked)
-    model = DenseNetModel.__new__(DenseNetModel)
-    model._build(config, dtype)
+    model = DenseNetModel.allocated(config, dtype)
     expected = dict(model.named_state())
     (n_entries,) = r.unpack("<I")
     if n_entries != len(expected):

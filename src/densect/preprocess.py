@@ -36,16 +36,16 @@ class PreprocessError(ValueError):
 @dataclass(frozen=True)
 class PreprocessConfig:
     target_size: int = 224
-    clip_window: tuple[float, float] = (-1000.0, 400.0)
     crop_policy: str = "none"
     crop_fraction: float = 1.0
     slice_policy: str = "middle-axial"
     slice_index: int = 0
+    clip_lo: float = -1000.0
+    clip_hi: float = 400.0
 
     def __post_init__(self):
-        lo, hi = self.clip_window
-        if not lo < hi:
-            raise ValueError(f"clip_window must satisfy lo < hi, got ({lo}, {hi})")
+        if not self.clip_lo < self.clip_hi:
+            raise ValueError(f"clip_lo must be below clip_hi, got ({self.clip_lo}, {self.clip_hi})")
         if self.target_size < MIN_CROP_EXTENT:
             raise ValueError(f"target_size must be >= {MIN_CROP_EXTENT}, got {self.target_size}")
         if self.crop_policy not in CROP_POLICIES:
@@ -162,10 +162,6 @@ def preprocess(volume: Volume, config: PreprocessConfig,
     cropped = stage("crop", crop, image, config.crop_policy, config.crop_fraction)
     if cropped.shape != image.shape:
         cropped = stage("resample", resample, cropped, config.target_size)
-    lo, hi = config.clip_window
-    image = stage("clip_normalize", clip_normalize, cropped, lo, hi)
-    pixels = image.astype(np.float32)
-    provenance = asdict(config)
-    provenance["clip_window"] = list(config.clip_window)
-    return ProcessedImage(pixels=pixels, source_patient_id=patient_id,
-                          provenance=provenance)
+    image = stage("clip_normalize", clip_normalize, cropped, config.clip_lo, config.clip_hi)
+    return ProcessedImage(pixels=image.astype(np.float32), source_patient_id=patient_id,
+                          provenance=asdict(config))

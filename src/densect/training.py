@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -250,7 +250,7 @@ class EpochMetrics:
     val_accuracy: float
 
 
-METRICS_HEADER = ("epoch", "train_loss", "val_loss", "val_accuracy")
+METRICS_HEADER = tuple(f.name for f in fields(EpochMetrics))
 
 
 def _model_config(train_config: TrainConfig):
@@ -288,7 +288,8 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
     metrics: list[EpochMetrics] = []
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w", newline="") as fh:
-        fh.write(",".join(METRICS_HEADER) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(METRICS_HEADER)
         for epoch in range(1, config.epochs + 1):
             batch_losses = []
             for b_index, batch in enumerate(batches(
@@ -312,8 +313,7 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
             row = EpochMetrics(epoch=epoch, train_loss=train_loss,
                                val_loss=ev.loss, val_accuracy=ev.joint_accuracy)
             metrics.append(row)
-            fh.write(f"{row.epoch},{row.train_loss!r},{row.val_loss!r},"
-                     f"{row.val_accuracy!r}\n")
+            writer.writerow(astuple(row))
             fh.flush()
             if epoch % config.checkpoint_every == 0:
                 model.save_checkpoint(os.path.join(out_dir, f"epoch{epoch:04d}.ckpt"))
@@ -333,14 +333,11 @@ def metrics_from_csv(path: str) -> list[EpochMetrics]:
             raise ValueError(f"unexpected metrics header in {path}: {header}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
+            if len(row) != len(header):
                 raise ValueError(
-                    f"{path}:{line_no}: expected 4 fields, got {len(row)}")
+                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append(EpochMetrics(epoch=int(row[0]),
-                                         train_loss=float(row[1]),
-                                         val_loss=float(row[2]),
-                                         val_accuracy=float(row[3])))
+                rows.append(EpochMetrics(int(row[0]), *map(float, row[1:])))
             except ValueError:
                 raise ValueError(
                     f"{path}:{line_no}: non-numeric metrics row: {row}") from None

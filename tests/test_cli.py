@@ -4,12 +4,14 @@ import argparse
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densect.cli import _build_parser, _resolve, _train_config, main
-from densect.model import DENSENET121, REDUCED, feature_map_plan
+from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
+from densect.mha import read_mha_file, write_mha_file
+from densect.model import DENSENET121, REDUCED, DenseNetModel, feature_map_plan
 from densect.training import TrainConfig, metrics_from_csv
 
 
@@ -183,10 +185,32 @@ def test_subcommand_exposes_exactly_its_setting_flags(command, count):
                      | {"--config", "-h", "--help"})
 
 
+def test_readme_names_exactly_the_setting_keys():
+    # the README's CLI section lists every setting key by name; a renamed or
+    # added config field must show up there too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"^The preprocessing keys are (.*?)\.$", readme, re.M | re.S)
+    preprocess_keys = re.findall(r"`(\w+)`", sentence.group(1))
+    assert preprocess_keys == _PREPROCESS_KEYS
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    rows = {}
+    for command in ("train", "evaluate", "predict"):
+        cell = re.search(rf"^\| `{command}` \| (.*) \|$", readme, re.M).group(1)
+        rows[command] = re.findall(r"`(\w+)`", cell)
+        if cell.endswith("and the preprocessing keys"):
+            rows[command] += preprocess_keys
+        taken = {action.dest for action in subparsers.choices[command]._actions}
+        assert rows[command] == [key for key in _SCHEMA if key in taken], command
+    assert rows["train"] == list(_SCHEMA)
+    assert f"| `train` | all {len(_SCHEMA)}: " in readme
+
+
 @pytest.mark.parametrize("flag, raw, read, expected", [
     ("--lr", "1e-3", lambda c: c.lr, 1e-3),
     ("--slice-index", "2", lambda c: c.preprocess.slice_index, 2),
-    ("--clip-lo", "-900", lambda c: c.preprocess.clip_window[0], -900.0),
+    ("--clip-lo", "-900", lambda c: c.preprocess.clip_lo, -900.0),
     ("--stop-accuracy", "none", lambda c: c.stop_accuracy, None),
 ], ids=["lr", "slice-index", "clip-lo", "stop-accuracy"])
 def test_setting_flag_reaches_the_config_with_the_field_type(flag, raw, read, expected):
@@ -240,6 +264,17 @@ def test_predict_missing_volume_is_data_error(trained, capsys):
     code, _, err = run_cli(capsys, "predict", "--input", "/no/volume.mha",
                            "--checkpoint", str(trained / "final.ckpt"))
     assert code == 2
+
+
+def test_predict_with_an_empty_rescale_slope_is_data_error(dataset, trained, tmp_path, capsys):
+    vol = read_mha_file(str(dataset / "data" / "synth001.mha"))
+    vol.header.raw_fields["RescaleSlope"] = ""
+    path = tmp_path / "blank_slope.mha"
+    write_mha_file(str(path), vol)
+    code, _, err = run_cli(capsys, "predict", "--input", str(path),
+                           "--checkpoint", str(trained / "final.ckpt"))
+    assert code == 2
+    assert "RescaleSlope" in err
 
 
 def test_divergence_is_exit_three(dataset, tmp_path, capsys):
@@ -330,6 +365,20 @@ def test_describe_matches_plan_rows(capsys):
     assert lines[-3] == "layers: 121"
     assert lines[-2].startswith("parameters: ")
     assert lines[-1] == "connections: 7381"
+
+
+def test_describe_preset_draws_no_weights(capsys, monkeypatch):
+    drawn = DenseNetModel(DENSENET121, seed=0).count_params()
+    _, expected, _ = run_cli(capsys, "describe", "--preset", "densenet121")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("describe drew from a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, out, _ = run_cli(capsys, "describe", "--preset", "densenet121")
+    assert code == 0
+    assert out == expected
+    assert f"\nparameters: {drawn}\n" in out
 
 
 def test_describe_reduced(capsys):

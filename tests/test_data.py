@@ -21,7 +21,7 @@ from densect.data import (
     split,
     synth_generate,
 )
-from densect.mha import read_mha_file
+from densect.mha import read_mha_file, write_mha_file
 from densect.preprocess import PreprocessConfig
 
 CFG16 = PreprocessConfig(target_size=16)
@@ -276,7 +276,7 @@ def test_memory_cache_keys_by_patient_and_config(small_dataset):
     # one dict shared by two configs must not serve the first config's pixels
     # to the second; a fresh, uncached load is the oracle for each
     cache = {}
-    narrow = PreprocessConfig(target_size=16, clip_window=(-200.0, 100.0))
+    narrow = PreprocessConfig(target_size=16, clip_lo=-200.0, clip_hi=100.0)
     wide = load_study_image(small_dataset[0], CFG16, cache)
     clipped = load_study_image(small_dataset[0], narrow, cache)
     assert wide.shape == clipped.shape and not np.array_equal(wide, clipped)
@@ -307,6 +307,17 @@ def test_item_error_on_corrupt_volume(tmp_path):
     rec = StudyRecord("bad", str(bad), 1, 0)
     with pytest.raises(ItemError, match="bad"):
         load_study_image(rec, CFG16)
+
+
+def test_item_error_on_empty_rescale_slope(small_dataset, tmp_path):
+    vol = read_mha_file(small_dataset[0].volume_path)
+    vol.header.raw_fields["RescaleSlope"] = ""
+    path = tmp_path / "blank_slope.mha"
+    write_mha_file(str(path), vol)
+    rec = StudyRecord("blank-slope", str(path), 0, 0)
+    with pytest.raises(ItemError, match="RescaleSlope") as exc:
+        list(batches([rec], 1, CFG16))
+    assert exc.value.patient_id == "blank-slope"
 
 
 def test_item_error_on_degenerate_preprocess(small_dataset):

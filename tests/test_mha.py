@@ -308,6 +308,27 @@ def test_to_hounsfield_never_mutates_its_source(dtype):
     npt.assert_array_equal(hu.voxels, arr.astype(np.float32) * 2 - 1024)
 
 
+def test_to_hounsfield_header_shares_nothing_with_its_source():
+    vol = Volume.from_array(np.arange(24, dtype=np.int16).reshape(2, 3, 4), spacing=[0.5, 0.5, 2.0])
+    vol.header.raw_fields["RescaleSlope"] = "1"
+    vol.header.raw_fields["Modality"] = "MET_MOD_CT"
+    before = write_mha(vol)
+    hu = to_hounsfield(vol).header
+    for values in (hu.dim_size, hu.element_spacing, hu.offset, hu.transform_matrix):
+        values[0] += 1
+    hu.raw_fields.clear()
+    assert write_mha(vol) == before
+
+
+@pytest.mark.parametrize("key", ["RescaleSlope", "RescaleIntercept"])
+@pytest.mark.parametrize("value", ["", "1 2", "abc", "nan"], ids=["empty", "two", "word", "nan"])
+def test_to_hounsfield_rejects_a_rescale_value_that_is_not_one_finite_number(key, value):
+    vol = Volume.from_array(np.array([1024, 0], dtype=np.int16))
+    vol.header.raw_fields[key] = value
+    with pytest.raises(MalformedHeaderError, match=key):
+        to_hounsfield(vol)
+
+
 def test_from_array_rejects_unsupported_dtype():
     with pytest.raises(UnsupportedTypeError):
         Volume.from_array(np.zeros(3, dtype=np.int64))

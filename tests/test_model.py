@@ -346,6 +346,12 @@ def test_checkpoint_round_trip_exact():
     npt.assert_array_equal(logits.data, logits2.data)
 
 
+def test_checkpoint_config_writes_block_layers_as_a_json_array():
+    buf = checkpoint_bytes(DenseNetModel(REDUCED, seed=0))
+    cfg_len = int.from_bytes(buf[12:16], "little")
+    assert b'"block_layers": [1, 2, 2, 1]' in buf[16:16 + cfg_len]
+
+
 def test_checkpoint_reload_overwrites_every_entry():
     # a seed other than the loader's, and every parameter and running buffer
     # moved off its init value, so no entry of the loaded model can be left

@@ -282,14 +282,14 @@ def test_preprocess_window_spanning_data_hits_exact_endpoints():
     vox = np.full((3, 16, 16), -300, dtype=np.int16)
     vox[1, 0, 0] = -1000
     vox[1, -1, -1] = 400
-    cfg = PreprocessConfig(target_size=32, clip_window=(-1000.0, 400.0))
+    cfg = PreprocessConfig(target_size=32, clip_lo=-1000.0, clip_hi=400.0)
     out = preprocess(volume_of(vox), cfg)
     assert out.pixels.min() == 0.0
     assert out.pixels.max() == 1.0
 
 
 def test_preprocess_equals_manual_stage_composition():
-    cfg = PreprocessConfig(target_size=40, clip_window=(-500.0, 300.0),
+    cfg = PreprocessConfig(target_size=40, clip_lo=-500.0, clip_hi=300.0,
                            slice_policy="index", slice_index=3)
     vol = ct_like_volume(seed=5)
     out = preprocess(vol, cfg).pixels
@@ -307,7 +307,8 @@ def test_preprocess_provenance_records_config():
     assert out.provenance["crop_policy"] == "center-fraction"
     assert out.provenance["crop_fraction"] == 0.75
     assert out.provenance["slice_policy"] == "max-mean-intensity"
-    assert out.provenance["clip_window"] == [-1000.0, 400.0]
+    assert out.provenance["clip_lo"] == -1000.0
+    assert out.provenance["clip_hi"] == 400.0
 
 
 def test_stage_errors_carry_stage_name():
@@ -328,7 +329,7 @@ def test_stage_errors_carry_stage_name():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PreprocessConfig(clip_window=(400.0, -1000.0))
+        PreprocessConfig(clip_lo=400.0, clip_hi=-1000.0)
     with pytest.raises(ValueError):
         PreprocessConfig(crop_policy="left")
     with pytest.raises(ValueError):

@@ -476,6 +476,17 @@ def test_train_writes_metrics_and_checkpoints(tmp_path, synth_dir):
         npt.assert_array_equal(v1.data, v2.data)
 
 
+def test_metrics_csv_bytes_are_the_repr_of_each_row(tmp_path, synth_dir):
+    # the byte layout of metrics.csv: a fixed header, then each float as its
+    # repr (the shortest string that reads back to the same double)
+    out = tmp_path / "run"
+    _, metrics = train(synth_dir, small_train_config(), str(out))
+    expected = "epoch,train_loss,val_loss,val_accuracy\n" + "".join(
+        f"{m.epoch},{m.train_loss!r},{m.val_loss!r},{m.val_accuracy!r}\n" for m in metrics)
+    assert len(metrics) == 2
+    assert (out / "metrics.csv").read_bytes() == expected.encode()
+
+
 def test_train_is_bit_deterministic(tmp_path, synth_dir):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     train(synth_dir, small_train_config(), out_a)
