@@ -33,10 +33,10 @@ ELEMENT_TYPES = {
 }
 _DTYPE_TO_ELEMENT = {np.dtype(base): element for element, base in ELEMENT_TYPES.items()}
 
-# recognized keys the writer re-derives; everything else round-trips verbatim
-_CANONICAL_KEYS = ("ObjectType", "NDims", "DimSize", "ElementType", "ElementSpacing",
-                   "Offset", "TransformMatrix", "CompressedData", "ElementDataFile")
-_CONSUMED_KEYS = frozenset(_CANONICAL_KEYS) | {"BinaryDataByteOrderMSB", "CompressedDataSize"}
+# keys the reader interprets and the writer re-derives; everything else round-trips verbatim
+_CONSUMED_KEYS = frozenset({"ObjectType", "NDims", "DimSize", "ElementType", "ElementSpacing",
+                            "Offset", "TransformMatrix", "CompressedData", "CompressedDataSize",
+                            "BinaryDataByteOrderMSB", "ElementDataFile"})
 
 _MAX_NDIMS = 16
 _MAX_VOXEL_BYTES = 1 << 33  # refuse to allocate more than 8 GiB from a header
@@ -115,8 +115,8 @@ class Volume:
             ndims=ndims,
             dim_size=dims,
             element_type=_DTYPE_TO_ELEMENT[arr.dtype],
-            element_spacing=list(spacing) if spacing else [1.0] * ndims,
-            offset=list(offset) if offset else [0.0] * ndims,
+            element_spacing=[1.0] * ndims if spacing is None else list(spacing),
+            offset=[0.0] * ndims if offset is None else list(offset),
             transform_matrix=np.eye(ndims).reshape(-1).tolist(),
             compressed=False,
             raw_fields={"ObjectType": "Image"},
@@ -152,6 +152,17 @@ def _parse_bool(value: str, key: str) -> bool:
     raise MalformedHeaderError(f"{key}: expected True/False, got {value!r}")
 
 
+def _parse_line(text: str) -> tuple[str, str]:
+    """One header line (without its line break) as a stripped (key, value)."""
+    if "=" not in text:
+        raise MalformedHeaderError(f"header line without '=': {text!r}")
+    key, _, value = text.partition("=")
+    key, value = key.strip(), value.strip()
+    if not key:
+        raise MalformedHeaderError(f"empty key in header line {text!r}")
+    return key, value
+
+
 def _split_header(data: bytes):
     """Parse (key, value) pairs up to the ElementDataFile line; return them
     with a memoryview of the payload that follows (no copy)."""
@@ -170,12 +181,7 @@ def _split_header(data: bytes):
         except UnicodeDecodeError:
             raise MalformedHeaderError(
                 f"non-ASCII bytes in header line at offset {pos - len(line) - 1}") from None
-        if "=" not in text:
-            raise MalformedHeaderError(f"header line without '=': {text!r}")
-        key, _, value = text.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key:
-            raise MalformedHeaderError(f"empty key in header line {text!r}")
+        key, value = _parse_line(text)
         if key in fields:
             raise MalformedHeaderError(f"duplicate header key {key!r}")
         fields[key] = value
@@ -264,12 +270,23 @@ def _fmt_floats(vals) -> str:
     return " ".join(repr(float(v)) for v in vals)
 
 
+def _raw_line(key: str, value: str) -> str:
+    line = f"{key} = {value}"
+    try:
+        if line.isascii() and "\r" not in line and "\n" not in line and _parse_line(line) == (key, value):
+            return line
+    except MalformedHeaderError:
+        pass
+    raise MhaError(f"header field {key!r} = {value!r} would not read back as written")
+
+
 def write_mha(volume: Volume, compress: bool = False) -> bytes:
     """Serialize a Volume to the canonical single-file form.
 
     Canonical keys come first in fixed order, then any unrecognized keys in
     their stored order, then ElementDataFile. Uncompressed output is
-    byte-reproducible for a given Volume.
+    byte-reproducible for a given Volume. Raw fields under a key the reader
+    interprets are skipped; any other must read back unchanged, or MhaError.
     """
     header = volume.header
     header.validate()
@@ -282,7 +299,7 @@ def write_mha(volume: Volume, compress: bool = False) -> bytes:
     if compress:
         payload = zlib.compress(payload, 6)
 
-    lines = [f"ObjectType = {header.raw_fields.get('ObjectType', 'Image')}",
+    lines = [_raw_line("ObjectType", header.raw_fields.get("ObjectType", "Image")),
              f"NDims = {header.ndims}",
              f"DimSize = {' '.join(str(d) for d in header.dim_size)}",
              f"ElementType = {header.element_type}",
@@ -290,12 +307,8 @@ def write_mha(volume: Volume, compress: bool = False) -> bytes:
              f"Offset = {_fmt_floats(header.offset)}",
              f"TransformMatrix = {_fmt_floats(header.transform_matrix)}",
              f"CompressedData = {compress}"]
-    for key, value in header.raw_fields.items():
-        if key in _CANONICAL_KEYS:
-            continue
-        if any(c in f"{key}{value}" for c in "\r\n"):
-            raise MhaError(f"header field {key!r} contains a line break")
-        lines.append(f"{key} = {value}")
+    lines += [_raw_line(key, value) for key, value in header.raw_fields.items()
+              if key not in _CONSUMED_KEYS]
     lines.append("ElementDataFile = LOCAL")
     return "\n".join(lines).encode("ascii") + b"\n" + payload
 

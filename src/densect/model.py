@@ -30,6 +30,7 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _conv_out_size,
     batchnorm2d,
     concat_channels,
     conv2d,
@@ -92,22 +93,18 @@ def count_connections(num_layers: int) -> int:
 
 def feature_map_plan(config: DenseNetConfig) -> list[tuple[str, int, int]]:
     """Static (stage, out_spatial, out_channels) table the forward pass must realize."""
-
-    def down(s, kernel, stride, padding):
-        return (s + 2 * padding - kernel) // stride + 1
-
     rows = []
-    s = down(config.input_size, 7, 2, 3)
+    s = _conv_out_size(config.input_size, 7, 2, 3)
     c = config.init_channels
     rows.append(("conv", s, c))
-    s = down(s, 3, 2, 1)
+    s = _conv_out_size(s, 3, 2, 1)
     rows.append(("pool", s, c))
     for i, layers in enumerate(config.block_layers, start=1):
         c += layers * config.growth_rate
         rows.append((f"block{i}", s, c))
         if i < 4:
             c = int(c * config.compression)
-            s = down(s, 2, 2, 0)
+            s = _conv_out_size(s, 2, 2, 0)
             rows.append((f"transition{i}", s, c))
     rows.append(("global_pool", 1, c))
     rows.append(("fc", 1, config.num_outputs))

@@ -54,6 +54,8 @@ class PreprocessConfig:
             raise ValueError(f"crop_fraction must be in (0, 1], got {self.crop_fraction}")
         if self.slice_policy not in SLICE_POLICIES:
             raise ValueError(f"slice_policy must be one of {SLICE_POLICIES}, got {self.slice_policy!r}")
+        if self.slice_index < 0:
+            raise ValueError(f"slice_index must be >= 0, got {self.slice_index}")
 
 
 @dataclass

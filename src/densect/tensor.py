@@ -4,9 +4,10 @@ The operator set is exactly what a DenseNet forward pass needs: convolution,
 batch normalization, ReLU, pooling, channel concatenation, a fully-connected
 layer, sigmoid, plus the elementwise/reduction glue used to assemble losses.
 Every differentiable operation carries an analytic backward rule. A recorded
-output points at its node and a node at its inputs, never forward, so the loss
-owns its graph: ``backward`` replays the nodes it reaches, newest first, each
-exactly once, and dropping the loss frees them by reference counting.
+output points at its node and a node at its inputs (a fixed tuple per op, None
+for an absent optional operand), never forward, so the loss owns its graph and
+dropping it frees the graph by reference counting. ``backward`` replays each
+node a gradient reaches once, newest first, from a max-heap on recording order.
 
 Convolution is im2col + matmul. A 1x1 stride-1 unpadded conv multiplies the
 weights with a view of its input, so its node keeps no copy of it, and
@@ -19,6 +20,7 @@ tensors for finite-difference verification.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -48,9 +50,9 @@ class TapeNode:
     """One recorded operation: input tensors, backward rule, recording order.
 
     The backward rule maps the output gradient to a tuple of input gradients
-    (entries may be None for non-differentiable or grad-free inputs). ``seq``
-    increases with every recorded operation, so sorting by it gives a
-    topological order.
+    (entries may be None for absent, non-differentiable or grad-free inputs).
+    ``seq`` increases with every recorded operation, so every consumer of a
+    tensor has a larger ``seq`` than the node that produced it.
     """
 
     __slots__ = ("inputs", "backward_rule", "seq")
@@ -155,30 +157,17 @@ class Tensor:
         return record((self,), out, rule)
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            out = self.data + np.asarray(other, dtype=self.data.dtype)
-            return record((self,), out, lambda g: (g,))
-        _check_elementwise(self, other, "add")
-        out = self.data + other.data
-        return record((self, other), out, lambda g: (g, g))
+        other = _operand(self, other, "add")
+        return record((self, other), self.data + other.data, lambda g: (g, g))
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            out = self.data - np.asarray(other, dtype=self.data.dtype)
-            return record((self,), out, lambda g: (g,))
-        _check_elementwise(self, other, "sub")
-        out = self.data - other.data
-        return record((self, other), out, lambda g: (g, -g))
+        other = _operand(self, other, "sub")
+        return record((self, other), self.data - other.data, lambda g: (g, -g))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = np.asarray(other, dtype=self.data.dtype)
-            out = self.data * c
-            return record((self,), out, lambda g: (g * c,))
-        _check_elementwise(self, other, "mul")
+        other = _operand(self, other, "mul")
         a, b = self.data, other.data
-        out = a * b
-        return record((self, other), out, lambda g: (g * b, g * a))
+        return record((self, other), a * b, lambda g: (g * b, g * a))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -190,24 +179,30 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _check_elementwise(a: Tensor, b: Tensor, opname: str):
+def _operand(a: Tensor, b, opname: str) -> Tensor:
+    # the right operand of an elementwise op; a Python scalar becomes a
+    # constant tensor of a's shape and dtype
+    if isinstance(b, (int, float)):
+        return Tensor(np.full(a.data.shape, b, dtype=a.data.dtype))
     if not isinstance(b, Tensor):
         raise TypeError(f"{opname}: expected Tensor or scalar, got {type(b).__name__}")
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ (no broadcasting)")
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"{opname}: dtypes {a.data.dtype} and {b.data.dtype} differ")
+    return b
 
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray,
            backward_rule: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap an op result, attaching a graph node when gradients are tracked.
 
-    ``backward_rule(grad_out)`` must return one gradient (or None) per input,
-    each matching that input's shape. This is the extension point for custom
-    differentiable operations defined outside this module.
+    This is the extension point for custom differentiable operations defined
+    outside this module. An op records the same input tuple on every call, None
+    for an absent optional operand; ``backward_rule(grad_out)`` must return one
+    gradient (or None, always for a None entry) per entry, in that input's shape.
     """
-    req = _grad_enabled and any(t.requires_grad for t in inputs)
+    req = _grad_enabled and any(t is not None and t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=req)
     if req:
         out.node = TapeNode(tuple(inputs), backward_rule, next(_sequence))
@@ -219,6 +214,11 @@ def backward(loss: Tensor):
 
     Repeated calls without zero_grad accumulate. Gradients of intermediate
     tensors are transient; only leaves keep a ``grad`` buffer.
+
+    One pass: nodes pop from a max-heap on ``seq``, starting at the loss, and a
+    node is pushed when a gradient first reaches it. Each push has a smaller
+    ``seq`` than the node just popped, so every node runs once, after all its
+    consumers, summing their gradients in descending consumer ``seq``.
     """
     if loss.node is None:
         raise NoGraphError("backward: tensor was not produced by a recorded operation "
@@ -226,27 +226,21 @@ def backward(loss: Tensor):
     if loss.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
 
-    nodes, stack = {loss.node}, [loss.node]
-    while stack:
-        for t in stack.pop().inputs:
-            if t.node is not None and t.node not in nodes:
-                nodes.add(t.node)
-                stack.append(t.node)
-    # newest first: every node runs after all the nodes that consume its output
     pending = {loss.node: np.ones_like(loss.data)}
-    for node in sorted(nodes, key=lambda node: -node.seq):
-        g = pending.pop(node, None)
-        if g is None:
-            continue
-        grads = node.backward_rule(g)
+    heap = [(-loss.node.seq, loss.node)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        grads = node.backward_rule(pending.pop(node))
         for t, gt in zip(node.inputs, grads):
-            if gt is None or not t.requires_grad:
+            if t is None or gt is None or not t.requires_grad:
                 continue
             if t.node is None:
                 t.grad = np.array(gt, dtype=t.data.dtype) if t.grad is None else t.grad + gt
+            elif t.node in pending:
+                pending[t.node] = pending[t.node] + gt
             else:
-                acc = pending.get(t.node)
-                pending[t.node] = gt if acc is None else acc + gt
+                pending[t.node] = gt
+                heapq.heappush(heap, (-t.node.seq, t.node))
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +291,18 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             f"linear: input features {x.data.shape[1]} != weight features {weight.data.shape[1]}")
     xd, wd = x.data, weight.data
     out = xd @ wd.T
-    inputs = (x, weight)
     if bias is not None:
         if bias.data.shape != (wd.shape[0],):
             raise ShapeError(f"linear: bias shape {bias.data.shape} != ({wd.shape[0]},)")
         out = out + bias.data
-        inputs = (x, weight, bias)
 
     def rule(g):
         gx = g @ wd if x.requires_grad else None
         gw = g.T @ xd if weight.requires_grad else None
-        if bias is None:
-            return (gx, gw)
-        gb = g.sum(axis=0) if bias.requires_grad else None
+        gb = g.sum(axis=0) if bias is not None and bias.requires_grad else None
         return (gx, gw, gb)
 
-    return record(inputs, out, rule)
+    return record((x, weight, bias), out, rule)
 
 
 def _conv_out_size(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -379,12 +369,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     cols = _im2col(xp, kh, kw, stride, h2, w2)
     w2d = weight.data.reshape(o, c * kh * kw)
     out = np.matmul(w2d, cols).reshape(n, o, h2, w2)
-    inputs = (x, weight)
     if bias is not None:
         if bias.data.shape != (o,):
             raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({o},)")
         out = out + bias.data.reshape(1, o, 1, 1)
-        inputs = (x, weight, bias)
 
     def rule(g):
         g2 = g.reshape(n, o, h2 * w2)
@@ -396,12 +384,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             gp = _canvas(g, kh - 1 - padding, kw - 1 - padding, stride, h + kh - 1, w + kw - 1)
             flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
             gx = np.matmul(flipped, _im2col(gp, kh, kw, 1, h, w)).reshape(n, c, h, w)
-        if bias is None:
-            return (gx, gw)
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         return (gx, gw, gb)
 
-    return record(inputs, out, rule)
+    return record((x, weight, bias), out, rule)
 
 
 def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int = 0) -> Tensor:
@@ -412,9 +398,9 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     "global-average": ignores kernel/stride/padding and reduces H, W to 1.
 
     Max and average pooling combine the kernel*kernel strided views (taps) of
-    the padded input elementwise, so no array of windows is built. Max
-    pooling finds its first-occurrence argmax only in the backward rule,
-    from the input and output it keeps.
+    the padded input elementwise, so no array of windows is built. One backward
+    rule scatters g/(kernel*kernel), or g where a tap holds the first-occurrence
+    argmax (found from the kept input and output), through the taps.
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d: expected 4-D input, got {x.data.shape}")
@@ -455,27 +441,23 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     for tap in taps[1:]:
         combine(out, xp[tap], out=out)
 
-    if mode == "max":
-        def rule(g):
-            # first occurrence: the lowest tap equal to the maximum wins
-            first = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
-            for t in range(len(taps) - 1, -1, -1):
-                np.copyto(first, t, where=xp[taps[t]] == out)
-            gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-            # taps in reverse order add to a shared position in window raster
-            # order, the order a scatter over the windows would use
-            for t in range(len(taps) - 1, -1, -1):
-                gxp[taps[t]] += g * (first == t)
-            return (gxp[:, :, padding:padding + h, padding:padding + w],)
-    else:
+    if mode == "average":
         out /= kernel * kernel
 
-        def rule(g):
-            gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-            gd = g / (kernel * kernel)
-            for tap in taps:
-                gxp[tap] += gd
-            return (gxp[:, :, padding:padding + h, padding:padding + w],)
+    def rule(g):
+        if mode == "max":
+            # first occurrence: the lowest tap equal to the maximum wins
+            first = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+            for t in reversed(range(len(taps))):
+                np.copyto(first, t, where=xp[taps[t]] == out)
+        else:
+            g = g / (kernel * kernel)
+        gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+        # taps in reverse order add to a shared position in window raster
+        # order, the order a scatter over the windows would use
+        for t in reversed(range(len(taps))):
+            gxp[taps[t]] += g * (first == t) if mode == "max" else g
+        return (gxp[:, :, padding:padding + h, padding:padding + w],)
 
     return record((x,), out, rule)
 

@@ -228,8 +228,9 @@ class TrainConfig:
             raise ValueError(f"preset must be one of {sorted(PRESETS)}, got {self.preset!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2 (batch statistics need two studies "
+                             f"per batch), got {self.batch_size}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.val_count < 0:

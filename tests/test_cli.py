@@ -277,6 +277,33 @@ def test_predict_with_an_empty_rescale_slope_is_data_error(dataset, trained, tmp
     assert "RescaleSlope" in err
 
 
+def test_train_batch_size_one_is_usage_error_before_any_artifact(dataset, tmp_path, capsys):
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, "train", "--data", str(dataset), "--out", str(out),
+                           "--preset", "reduced", "--target-size", "32", "--epochs", "1",
+                           "--batch-size", "1")
+    assert code == 1
+    assert "batch_size must be >= 2" in err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_evaluate_batch_size_one_stays_valid(dataset, trained, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "evaluate", "--data", str(dataset),
+                           "--checkpoint", str(trained / "final.ckpt"),
+                           "--report", str(tmp_path / "r.csv"), "--batch-size", "1")
+    assert code == 0
+    assert "joint_accuracy=" in out
+
+
+def test_negative_slice_index_is_usage_error(dataset, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "train", "--data", str(dataset),
+                           "--out", str(tmp_path / "o"), "--preset", "reduced",
+                           "--target-size", "32", "--slice-policy", "index",
+                           "--slice-index", "-1")
+    assert code == 1
+    assert "slice_index must be >= 0" in err
+
+
 def test_divergence_is_exit_three(dataset, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code, _, err = run_cli(capsys, "train", "--data", str(dataset),

@@ -11,10 +11,11 @@ import zlib
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densect.mha import (
+    _CONSUMED_KEYS,
     ELEMENT_TYPES,
     MalformedHeaderError,
     MhaError,
@@ -226,6 +227,58 @@ def test_unrecognized_keys_survive_in_order():
     assert vol.header.raw_fields == again.header.raw_fields
     text = write_mha(vol).split(b"ElementDataFile")[0]
     assert text.index(b"AnatomicalOrientation") < text.index(b"CustomTag")
+
+
+def test_writer_drops_raw_fields_under_keys_the_reader_interprets():
+    # a raw MSB flag next to the little-endian payload would swap every voxel
+    vol = Volume.from_array(np.array([1, 2], dtype=np.int16))
+    vol.header.raw_fields["BinaryDataByteOrderMSB"] = "True"
+    vol.header.raw_fields["CompressedDataSize"] = "7"
+    data = write_mha(vol)
+    assert b"BinaryDataByteOrderMSB" not in data and b"CompressedDataSize" not in data
+    out = read_mha(data)
+    npt.assert_array_equal(out.voxels, [1, 2])
+    assert out.header.raw_fields == {"ObjectType": "Image"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("A=B", "C"), ("Pad", " x "), ("Tab", "x\t"), (" Key", "x"), ("", "x"),
+    ("K\u00e9y", "x"), ("Key", "\u00fc"), ("Key", "a\nb"), ("Key", "a\rb"), ("Key\n", "x"),
+    ("ObjectType", "Image\nNDims = 9"),
+], ids=["eq-in-key", "padded-value", "tab", "padded-key", "empty-key", "non-ascii-key",
+        "non-ascii-value", "lf", "cr", "lf-in-key", "object-type-lf"])
+def test_writer_refuses_a_raw_field_that_would_not_read_back(key, value):
+    vol = Volume.from_array(np.array([1, 2], dtype=np.int16))
+    vol.header.raw_fields[key] = value
+    with pytest.raises(MhaError, match="read back"):
+        write_mha(vol)
+
+
+_FIELD_TEXT = st.text(st.characters(max_codepoint=0x7F), max_size=10) | st.text(max_size=4)
+
+
+@given(st.dictionaries(_FIELD_TEXT, _FIELD_TEXT, max_size=4), _FIELD_TEXT)
+@example({"CustomTag": "hello world", "Note": "a = b"}, "Image")
+@settings(max_examples=200, deadline=None)
+def test_written_raw_fields_read_back_or_are_refused(fields, object_type):
+    vol = Volume.from_array(np.arange(6, dtype=np.int16).reshape(2, 3))
+    raw = {"ObjectType": object_type,
+           **{k: v for k, v in fields.items() if k not in _CONSUMED_KEYS}}
+    vol.header.raw_fields = dict(raw)
+    try:
+        data = write_mha(vol)
+    except MhaError:
+        return
+    out = read_mha(data)
+    assert out.header.raw_fields == raw
+    npt.assert_array_equal(out.voxels, vol.voxels)
+
+
+def test_from_array_takes_array_spacing_and_offset():
+    vol = Volume.from_array(np.zeros((2, 3), dtype=np.uint8),
+                            spacing=np.array([0.5, 2.0]), offset=np.zeros(2))
+    assert vol.header.element_spacing == [0.5, 2.0]
+    assert vol.header.offset == [0.0, 0.0]
 
 
 @given(st.integers(0, 10_000))

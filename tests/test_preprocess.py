@@ -340,6 +340,8 @@ def test_config_validation():
         PreprocessConfig(slice_policy="sagittal")
     with pytest.raises(ValueError):
         PreprocessConfig(target_size=4)
+    with pytest.raises(ValueError, match="slice_index"):
+        PreprocessConfig(slice_policy="index", slice_index=-1)
 
 
 @settings(max_examples=30, deadline=None)

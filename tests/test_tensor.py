@@ -111,6 +111,21 @@ def maxpool_grad_ref(x, g, kernel, stride, padding=0):
     return gxp[:, :, padding:padding + h, padding:padding + w]
 
 
+def avgpool_grad_ref(g, x_shape, kernel, stride, padding=0):
+    """Average-pool input gradient by a loop over the windows in raster order:
+    each window adds g/(kernel*kernel) to every entry it covers."""
+    n, c, h, w = x_shape
+    gd = g / (kernel * kernel)
+    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+    for ni in range(n):
+        for ci in range(c):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    y0, x0 = yi * stride, xi * stride
+                    gxp[ni, ci, y0:y0 + kernel, x0:x0 + kernel] += gd[ni, ci, yi, xi]
+    return gxp[:, :, padding:padding + h, padding:padding + w]
+
+
 def linear_ref(x, w, b):
     n, f = x.shape
     d = w.shape[0]
@@ -313,6 +328,18 @@ def test_maxpool_gradient_matches_window_loop_bit_for_bit(kernel, stride, paddin
     npt.assert_array_equal(xt.grad, maxpool_grad_ref(x, g, kernel, stride, padding))
 
 
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_avgpool_gradient_matches_window_loop_bit_for_bit(stride, padding):
+    # kernel 3 windows overlap at both strides, so up to nine float32 shares
+    # meet at one position, summed in window raster order
+    rng = np.random.default_rng(stride * 3 + padding)
+    xt = Tensor(rng.standard_normal((2, 3, 9, 8)), requires_grad=True, dtype=np.float32)
+    out = pool2d(xt, "average", kernel=3, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    npt.assert_array_equal(xt.grad, avgpool_grad_ref(g, xt.shape, 3, stride, padding))
+
+
 def test_relu_and_max_pool_retain_no_mask_or_index():
     # both rules rebuild their mask or argmax from the input the node holds
     x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True,
@@ -412,6 +439,28 @@ def test_linear_gradients():
     assert report.passed, report.summary()
 
 
+def test_conv2d_and_linear_without_bias_record_a_none_entry():
+    rng = np.random.default_rng(11)
+    x4 = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+    w4 = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    x2 = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
+    w2 = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    for out, (x, w) in ((conv2d(x4, w4), (x4, w4)), (linear(x2, w2), (x2, w2))):
+        assert out.node.inputs == (x, w, None)
+        grads = out.node.backward_rule(np.ones(out.shape, dtype=np.float32))
+        assert len(grads) == 3 and grads[2] is None
+        out.sum().backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_record_skips_a_none_input():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    assert T.record((None,), np.zeros(2), lambda g: (None,)).node is None
+    out = T.record((None, x), x.data * 2.0, lambda g: (None, g * 2.0))
+    out.sum().backward()
+    npt.assert_array_equal(x.grad, [2.0, 2.0])
+
+
 def test_linear_shape_error():
     with pytest.raises(ShapeError):
         linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros((3, 4))))
@@ -441,6 +490,25 @@ def test_arithmetic_and_sum_gradients():
     b = Tensor(rng.standard_normal(8), requires_grad=True, dtype=np.float64)
     report = grad_check(lambda: ((a * b + a - b) * 0.5).sum(), {"a": a, "b": b})
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("op, d_dx", [
+    (lambda t, c: t * c, lambda c: c),
+    (lambda t, c: c * t, lambda c: c),
+    (lambda t, c: t + c, lambda c: 1),
+    (lambda t, c: c + t, lambda c: 1),
+    (lambda t, c: t - c, lambda c: 1),
+], ids=["mul", "rmul", "add", "radd", "sub"])
+def test_scalar_operand_keeps_the_bits_of_numpy_scalar_arithmetic(op, d_dx):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal(16), requires_grad=True, dtype=np.float32)
+    c = 0.1  # not exact in float32
+    out = op(x, c)
+    npt.assert_array_equal(out.data, op(x.data, np.float32(c)))
+    assert not any(t.requires_grad for t in out.node.inputs if t is not x)
+    g = rng.standard_normal(16).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    npt.assert_array_equal(x.grad, g * d_dx(np.float32(c)))
 
 
 def test_reshape_gradient_round_trips():
@@ -744,6 +812,33 @@ def test_diamond_graph_sums_both_paths():
     b = x * x
     (a + b).sum().backward()
     npt.assert_allclose(x.grad, [12.0])
+
+
+def test_contributions_sum_newest_consumer_first():
+    # y feeds three consumers; its gradient is (k3 + k2) + k1 in float32, in
+    # descending consumer seq, before relu passes it to x
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.uniform(1.0, 2.0, 256), requires_grad=True, dtype=np.float32)
+    ks = [Tensor(rng.standard_normal(256), dtype=np.float32) for _ in range(3)]
+    y = relu(x)
+    a, b, c = (y * k for k in ks)
+    ((a + b) + c).sum().backward()
+    k1, k2, k3 = (k.data for k in ks)
+    npt.assert_array_equal(x.grad, (k3 + k2) + k1)
+    assert np.any((k3 + k2) + k1 != (k1 + k2) + k3)
+
+
+def test_backward_skips_a_node_no_gradient_reaches():
+    x = Tensor(np.ones(2), requires_grad=True)
+    hidden = relu(x)
+
+    def must_not_run(g):
+        raise AssertionError("replayed a node no gradient reached")
+
+    hidden.node.backward_rule = must_not_run
+    out = T.record((hidden, x), hidden.data + x.data, lambda g: (None, g))
+    out.sum().backward()
+    npt.assert_array_equal(x.grad, [1.0, 1.0])
 
 
 def test_non_requires_grad_leaf_never_gets_grad():

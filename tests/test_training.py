@@ -573,6 +573,7 @@ def test_metrics_csv_errors_name_the_line(tmp_path):
     dict(threshold=2.0),
     dict(checkpoint_every=0),
     dict(stop_accuracy=0.0),
+    dict(batch_size=1),
 ])
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
