@@ -39,6 +39,7 @@ _CONSUMED_KEYS = frozenset({"ObjectType", "NDims", "DimSize", "ElementType", "El
                             "BinaryDataByteOrderMSB", "ElementDataFile"})
 
 _MAX_NDIMS = 16
+_MAX_HEADER_FIELDS = 256  # header fields before ElementDataFile, read or written
 _MAX_VOXEL_BYTES = 1 << 33  # refuse to allocate more than 8 GiB from a header
 
 
@@ -187,8 +188,9 @@ def _split_header(data: bytes):
         fields[key] = value
         if key == "ElementDataFile":
             return fields, memoryview(data)[pos:]
-        if len(fields) > 256:
-            raise MalformedHeaderError("more than 256 header fields before ElementDataFile")
+        if len(fields) > _MAX_HEADER_FIELDS:
+            raise MalformedHeaderError(
+                f"more than {_MAX_HEADER_FIELDS} header fields before ElementDataFile")
 
 
 def read_mha(data: bytes) -> Volume:
@@ -286,7 +288,8 @@ def write_mha(volume: Volume, compress: bool = False) -> bytes:
     Canonical keys come first in fixed order, then any unrecognized keys in
     their stored order, then ElementDataFile. Uncompressed output is
     byte-reproducible for a given Volume. Raw fields under a key the reader
-    interprets are skipped; any other must read back unchanged, or MhaError.
+    interprets are skipped; any other must read back unchanged, or MhaError,
+    as is a header with more fields than the reader accepts.
     """
     header = volume.header
     header.validate()
@@ -309,6 +312,9 @@ def write_mha(volume: Volume, compress: bool = False) -> bytes:
              f"CompressedData = {compress}"]
     lines += [_raw_line(key, value) for key, value in header.raw_fields.items()
               if key not in _CONSUMED_KEYS]
+    if len(lines) > _MAX_HEADER_FIELDS:
+        raise MhaError(f"{len(lines)} header fields before ElementDataFile; the reader "
+                       f"accepts at most {_MAX_HEADER_FIELDS}")
     lines.append("ElementDataFile = LOCAL")
     return "\n".join(lines).encode("ascii") + b"\n" + payload
 

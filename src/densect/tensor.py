@@ -9,10 +9,13 @@ for an absent optional operand), never forward, so the loss owns its graph and
 dropping it frees the graph by reference counting. ``backward`` replays each
 node a gradient reaches once, newest first, from a max-heap on recording order.
 
-Convolution is im2col + matmul. A 1x1 stride-1 unpadded conv multiplies the
-weights with a view of its input, so its node keeps no copy of it, and
-every conv computes its input gradient as a transposed convolution of the
-output gradient through the same im2col + matmul.
+A stride-1 convolution builds no column matrix. It lays the zero-padded input
+out as flat rows, where every kernel tap is a shifted column window, and
+computes all taps in one GEMM with the taps stacked on the output-channel
+side (after Anderson et al., arXiv:1709.03395, and MEC, arXiv:1706.06873).
+Its node keeps only that flat padded input, a view of the input itself for
+a 1x1 unpadded conv. Only the strided stem conv uses im2col + matmul and keeps
+its columns; its input gradient is a transposed convolution through im2col.
 
 Default element type is float32; pass ``dtype=np.float64`` when building
 tensors for finite-difference verification.
@@ -309,12 +312,23 @@ def _conv_out_size(extent: int, kernel: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - kernel) // stride + 1
 
 
+def _pad_flat(a: np.ndarray, padding: int, tail: int) -> np.ndarray:
+    # (N, C, H, W) -> (N, C, Hp*Wp + tail): a zero-padded by `padding` on every
+    # side, its rows laid end to end, then `tail` zeros; with nothing to add it
+    # is a view of a (tensor data is contiguous), not a copy
+    n, c, h, w = a.shape
+    if padding == 0 and tail == 0:
+        return a.reshape(n, c, h * w)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out = np.zeros((n, c, hp * wp + tail), dtype=a.dtype)
+    out[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, padding:padding + h, padding:padding + w] = a
+    return out
+
+
 def _canvas(a: np.ndarray, top: int, left: int, stride: int, hc: int, wc: int) -> np.ndarray:
     # zeros of (N, C, hc, wc) with a[:, :, i, j] at (top + stride*i, left + stride*j);
     # rows or columns that fall outside are dropped (a crop when top or left < 0)
     n, c, h, w = a.shape
-    if stride == 1 and top == 0 and left == 0 and (hc, wc) == (h, w):
-        return a
     out = np.zeros((n, c, hc, wc), dtype=a.dtype)
     spans = []
     for start, count, size in ((top, h, hc), (left, w, wc)):
@@ -329,24 +343,96 @@ def _canvas(a: np.ndarray, top: int, left: int, stride: int, hc: int, wc: int) -
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h2: int, w2: int) -> np.ndarray:
-    # (N, C, Hp, Wp) -> (N, C*kh*kw, h2*w2), rows in (C, kh, kw) C-order;
-    # a 1x1 stride-1 window of a contiguous xp is already contiguous, so this
-    # returns a view of xp, not a copy
+    # (N, C, Hp, Wp) -> (N, C*kh*kw, h2*w2), rows in (C, kh, kw) C-order
     n, c = xp.shape[0], xp.shape[1]
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, h2 * w2)
 
 
+def _bias_grad(g: np.ndarray, bias: Optional[Tensor]):
+    return g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
+
+
+def _conv_taps(x: Tensor, weight: Tensor, bias: Optional[Tensor], padding: int, h2: int, w2: int):
+    # stride 1 on xpf, the flat padded input (N, C, Hp*Wp + kw-1): tap (ky, kx)
+    # is its column window from s = ky*Wp + kx, and output row y is columns
+    # y*Wp .. y*Wp + W2-1 of every window (the Wp - W2 after them wrap around)
+    n, c, h, w = x.data.shape
+    o, _, kh, kw = weight.data.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    offsets = [ky * wp + kx for ky in range(kh) for kx in range(kw)]
+    xpf = _pad_flat(x.data, padding, kw - 1)
+    w_taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+
+    def grid(a, s):
+        # the (N, O, H2, W2) output grid of the window at column s of a
+        return a[..., s:s + h2 * wp].reshape(n, o, h2, wp)[..., :w2]
+
+    # one GEMM with K = C gives every tap's (O, Hp*Wp + kw-1) product, stacked
+    y = np.matmul(w_taps, xpf).reshape(n, kh * kw, o, -1)
+    taps = [grid(y[:, t], s) for t, s in enumerate(offsets)]
+    out = taps[0] if len(taps) == 1 else taps[0] + taps[1]
+    for tap in taps[2:]:
+        out += tap
+
+    def rule(g):
+        # stacked_g: block t is g at offset s_t with zero wrap columns, so each
+        # gradient is one GEMM against it; a 1x1 conv's block is g itself
+        if len(offsets) == 1:
+            stacked_g = g.reshape(n, o, -1)
+        else:
+            stacked_g = np.zeros((n, kh * kw, o, xpf.shape[2]), dtype=g.dtype)
+            for t, s in enumerate(offsets):
+                grid(stacked_g[:, t], s)[...] = g
+            stacked_g = stacked_g.reshape(n, kh * kw * o, -1)
+        gw = None
+        if weight.requires_grad:
+            gw = np.matmul(stacked_g, xpf.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.ascontiguousarray(gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
+        gx = None
+        if x.requires_grad:
+            gxp = np.matmul(w_taps.T, stacked_g)[:, :, :hp * wp].reshape(n, c, hp, wp)
+            gx = gxp[:, :, padding:padding + h, padding:padding + w]
+        return (gx, gw, _bias_grad(g, bias))
+
+    return out, rule
+
+
+def _conv_cols(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int, padding: int,
+               h2: int, w2: int):
+    # im2col + matmul; the input gradient is the transposed convolution: the
+    # output gradient spread out by the stride and padded (or cropped) by
+    # kh-1-padding, convolved with the flipped kernel through im2col
+    n, c, h, w = x.data.shape
+    o, _, kh, kw = weight.data.shape
+    xp = _pad_flat(x.data, padding, 0).reshape(n, c, h + 2 * padding, w + 2 * padding)
+    cols = _im2col(xp, kh, kw, stride, h2, w2)
+    out = np.matmul(weight.data.reshape(o, c * kh * kw), cols).reshape(n, o, h2, w2)
+
+    def rule(g):
+        gw = None
+        if weight.requires_grad:
+            gw = np.matmul(g.reshape(n, o, h2 * w2), cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
+        gx = None
+        if x.requires_grad:
+            gp = _canvas(g, kh - 1 - padding, kw - 1 - padding, stride, h + kh - 1, w + kw - 1)
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+            gx = np.matmul(flipped, _im2col(gp, kh, kw, 1, h, w)).reshape(n, c, h, w)
+        return (gx, gw, _bias_grad(g, bias))
+
+    return out, rule
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution of (N, C, H, W) with (O, C, kh, kw); im2col + matmul.
+    """2-D convolution of (N, C, H, W) with (O, C, kh, kw).
 
     Output spatial extent is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width). The im2col columns are retained for the backward pass only while
-    an operation is being recorded; for a 1x1 stride-1 unpadded conv they are
-    a view of the input, not a copy. The input gradient is the transposed
-    convolution: the output gradient, spread out by the stride and padded (or
-    cropped) by kh-1-padding, convolved with the flipped kernel.
+    width). A stride-1 conv builds no column matrix (``_conv_taps``): its node
+    keeps only the flat zero-padded input, a view of x for a 1x1 unpadded
+    conv. A strided conv, in the model only the stem, is im2col + matmul
+    (``_conv_cols``) and keeps its columns. Nothing is kept while recording
+    is off.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weight, got {x.data.shape} and {weight.data.shape}")
@@ -364,29 +450,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise GeometryError(
             f"conv2d: kernel {kh}x{kw} stride {stride} padding {padding} "
             f"yields empty output for input {h}x{w}")
+    if bias is not None and bias.data.shape != (o,):
+        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({o},)")
 
-    xp = _canvas(x.data, padding, padding, 1, h + 2 * padding, w + 2 * padding)
-    cols = _im2col(xp, kh, kw, stride, h2, w2)
-    w2d = weight.data.reshape(o, c * kh * kw)
-    out = np.matmul(w2d, cols).reshape(n, o, h2, w2)
+    if stride == 1:
+        out, rule = _conv_taps(x, weight, bias, padding, h2, w2)
+    else:
+        out, rule = _conv_cols(x, weight, bias, stride, padding, h2, w2)
     if bias is not None:
-        if bias.data.shape != (o,):
-            raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({o},)")
         out = out + bias.data.reshape(1, o, 1, 1)
-
-    def rule(g):
-        g2 = g.reshape(n, o, h2 * w2)
-        gw = None
-        if weight.requires_grad:
-            gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
-        gx = None
-        if x.requires_grad:
-            gp = _canvas(g, kh - 1 - padding, kw - 1 - padding, stride, h + kh - 1, w + kw - 1)
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-            gx = np.matmul(flipped, _im2col(gp, kh, kw, 1, h, w)).reshape(n, c, h, w)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
-        return (gx, gw, gb)
-
     return record((x, weight, bias), out, rule)
 
 

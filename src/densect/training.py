@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import DatasetSplit, StudyRecord, batches, split
-from .model import DENSENET121, DENSENET169, REDUCED, DenseNetModel
+from .model import DENSENET121, DENSENET169, REDUCED, DenseNetModel, feature_map_plan
 from .preprocess import PreprocessConfig
 from .tensor import ShapeError, Tensor, backward, no_grad, record, stable_sigmoid
 
@@ -273,16 +273,25 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
 
     A trailing batch containing a single study is skipped: batch statistics
     are undefined for one sample once the feature map reaches 1x1. The
-    per-epoch shuffle rotates which study that is, so none is starved.
+    per-epoch shuffle rotates which study that is, so none is starved. A
+    training split of one study at a size whose block4 map is 1x1 has no
+    batch to train on, so it is a ValueError before any artifact is written.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if config.val_count > 0:
         parts = split(records, config.val_count, seed=config.seed)
     else:
         parts = DatasetSplit(train=tuple(records), val=())
     train_records = parts.train
     val_records = parts.val if parts.val else parts.train
-    model = DenseNetModel(_model_config(config), seed=config.seed)
+    model_config = _model_config(config)
+    block4 = next(s for name, s, _ in feature_map_plan(model_config) if name == "block4")
+    if len(train_records) == 1 and block4 == 1:
+        raise ValueError(
+            f"the training split has 1 study and target size {model_config.input_size} "
+            "leaves block4 a 1x1 map, so batch statistics are undefined; use more "
+            "training studies or a larger target size")
+    os.makedirs(out_dir, exist_ok=True)
+    model = DenseNetModel(model_config, seed=config.seed)
     params = model.parameters()
     state = AdamState.for_params(params)
     cache: dict = {}

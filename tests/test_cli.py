@@ -287,6 +287,30 @@ def test_train_batch_size_one_is_usage_error_before_any_artifact(dataset, tmp_pa
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def three_studies(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds3")
+    assert main(["synth", "--out", str(root), "--count", "3",
+                 "--image-size", "32", "--depth", "4"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("target_size,code", [(32, 1), (64, 0)])
+def test_one_study_training_split_needs_more_than_a_1x1_block4(
+        three_studies, tmp_path, capsys, target_size, code):
+    # --val-count 2 of 3 studies leaves one to train on; at 32 px block4 is 1x1
+    out = tmp_path / "o"
+    got, _, err = run_cli(capsys, "train", "--data", str(three_studies), "--out", str(out),
+                          "--preset", "reduced", "--target-size", str(target_size),
+                          "--batch-size", "2", "--val-count", "2", "--epochs", "1")
+    assert got == code
+    if code:
+        assert "training split has 1 study" in err and "target size 32" in err
+        assert not out.exists()
+    else:
+        assert len(metrics_from_csv(str(out / "metrics.csv"))) == 1
+
+
 def test_evaluate_batch_size_one_stays_valid(dataset, trained, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "evaluate", "--data", str(dataset),
                            "--checkpoint", str(trained / "final.ckpt"),

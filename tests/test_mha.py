@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from densect.mha import (
     _CONSUMED_KEYS,
+    _MAX_HEADER_FIELDS,
     ELEMENT_TYPES,
     MalformedHeaderError,
     MhaError,
@@ -252,6 +253,22 @@ def test_writer_refuses_a_raw_field_that_would_not_read_back(key, value):
     vol.header.raw_fields[key] = value
     with pytest.raises(MhaError, match="read back"):
         write_mha(vol)
+
+
+def test_writer_refuses_a_header_the_reader_would_refuse():
+    def volume(extra):
+        vol = Volume.from_array(np.arange(4, dtype=np.uint8).reshape(2, 2))
+        vol.header.raw_fields.update({f"Tag{i:03d}": str(i) for i in range(extra)})
+        return vol
+
+    header_lines = write_mha(volume(0)).split(b"\n")
+    canonical = header_lines.index(b"ElementDataFile = LOCAL")
+    fits = _MAX_HEADER_FIELDS - canonical
+    out = read_mha(write_mha(volume(fits)))
+    assert out.header.raw_fields == volume(fits).header.raw_fields
+    npt.assert_array_equal(out.voxels, [[0, 1], [2, 3]])
+    with pytest.raises(MhaError, match=f"at most {_MAX_HEADER_FIELDS}"):
+        write_mha(volume(fits + 1))
 
 
 _FIELD_TEXT = st.text(st.characters(max_codepoint=0x7F), max_size=10) | st.text(max_size=4)

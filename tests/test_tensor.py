@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densect import tensor as T
@@ -216,10 +216,34 @@ def conv2d_ref_grads(x, w, g, stride, padding):
     return grads
 
 
+def check_conv2d_against_reference(x_shape, w_shape, stride, padding, with_bias=False):
+    """Forward and every gradient of a float64 conv2d against the oracles at 1e-12."""
+    rng = np.random.default_rng(sum(x_shape) + 3 * sum(w_shape) + stride + padding)
+    xd, wd = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    bd = rng.standard_normal(w_shape[0]) if with_bias else None
+    x = Tensor(xd, requires_grad=True, dtype=np.float64)
+    w = Tensor(wd, requires_grad=True, dtype=np.float64)
+    b = Tensor(bd, requires_grad=True, dtype=np.float64) if with_bias else None
+    out = conv2d(x, w, b, stride=stride, padding=padding)
+    npt.assert_allclose(out.data, conv2d_ref(xd, wd, bd, stride=stride, padding=padding),
+                        rtol=1e-12, atol=1e-12)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g, dtype=np.float64)).sum().backward()
+    gx_ref, gw_ref = conv2d_ref_grads(xd, wd, g, stride, padding)
+    npt.assert_allclose(x.grad, gx_ref, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(w.grad, gw_ref, rtol=1e-12, atol=1e-12)
+    if with_bias:
+        npt.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+    return x
+
+
 # (x shape, weight shape, stride, padding): the 1x1 view path, 3x3 with fewer
 # and with more output than input channels, stride 2 leaving the last input
 # row and column outside every window, and padding > kernel-1, where the
-# transposed conv crops the output gradient instead of padding it
+# transposed conv crops the output gradient instead of padding it. Then the
+# stride-1 tap layout's edges: W = 1 and H = 1, a kernel as wide as the padded
+# input (one output column, no wrap-around columns), padding > kernel-1 with
+# 3x3, a non-square 2x3 kernel with padding, and a padded 1x1
 CONV_GEOMETRIES = [
     ((2, 5, 4, 3), (3, 5, 1, 1), 1, 0),
     ((2, 4, 5, 4), (2, 4, 3, 3), 1, 1),
@@ -227,26 +251,51 @@ CONV_GEOMETRIES = [
     ((2, 3, 6, 6), (4, 3, 3, 3), 2, 0),
     ((1, 3, 4, 3), (2, 3, 2, 2), 1, 2),
     ((1, 2, 3, 4), (3, 2, 1, 1), 2, 2),
+    ((2, 3, 4, 1), (2, 3, 3, 3), 1, 1),
+    ((2, 2, 1, 5), (3, 2, 3, 3), 1, 1),
+    ((1, 2, 4, 3), (3, 2, 5, 5), 1, 1),
+    ((1, 2, 3, 4), (2, 2, 3, 3), 1, 3),
+    ((2, 3, 4, 5), (2, 3, 2, 3), 1, 1),
+    ((2, 3, 3, 4), (2, 3, 1, 1), 1, 1),
 ]
 
 
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GEOMETRIES)
 def test_conv2d_forward_and_gradients_match_reference(x_shape, w_shape, stride, padding):
-    rng = np.random.default_rng(sum(x_shape) + 3 * sum(w_shape) + stride + padding)
-    xd, wd = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
-    x = Tensor(xd, requires_grad=True, dtype=np.float64)
-    w = Tensor(wd, requires_grad=True, dtype=np.float64)
-    out = conv2d(x, w, stride=stride, padding=padding)
-    npt.assert_allclose(out.data, conv2d_ref(xd, wd, stride=stride, padding=padding),
-                        rtol=1e-12, atol=1e-12)
-    g = rng.standard_normal(out.shape)
-    (out * Tensor(g, dtype=np.float64)).sum().backward()
-    gx_ref, gw_ref = conv2d_ref_grads(xd, wd, g, stride, padding)
-    npt.assert_allclose(x.grad, gx_ref, rtol=1e-12, atol=1e-12)
-    npt.assert_allclose(w.grad, gw_ref, rtol=1e-12, atol=1e-12)
+    x = check_conv2d_against_reference(x_shape, w_shape, stride, padding)
     if stride == 2 and padding == 0:
         npt.assert_array_equal(x.grad[:, :, -1], 0.0)   # the row no window covers
         npt.assert_array_equal(x.grad[:, :, :, -1], 0.0)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_with_bias_matches_reference(stride):
+    check_conv2d_against_reference((2, 3, 5, 4), (4, 3, 3, 2), stride, 1, with_bias=True)
+
+
+@given(n=st.integers(1, 2), c=st.integers(1, 2), o=st.integers(1, 2),
+       h=st.integers(1, 6), w=st.integers(1, 6), kh=st.integers(1, 4), kw=st.integers(1, 4),
+       padding=st.integers(0, 3), with_bias=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_conv2d_stride1_property_matches_reference(n, c, o, h, w, kh, kw, padding, with_bias):
+    assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
+    check_conv2d_against_reference((n, c, h, w), (o, c, kh, kw), 1, padding, with_bias)
+
+
+def test_conv2d_3x3_keeps_no_array_larger_than_its_flat_padded_input():
+    n, c, h, w, padding = 2, 4, 5, 6, 1
+    x = Tensor(np.random.default_rng(1).standard_normal((n, c, h, w)), requires_grad=True)
+    wt = Tensor(np.ones((3, c, 3, 3)), requires_grad=True)
+    out = conv2d(x, wt, padding=padding)
+    kept = []
+    for cell in out.node.backward_rule.__closure__:
+        value = cell.cell_contents
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(item, Tensor):
+                kept.append(item.data)
+            elif isinstance(item, np.ndarray):
+                kept.append(item)
+    assert max(a.size for a in kept) <= n * c * ((h + 2 * padding) * (w + 2 * padding) + 3 - 1)
 
 
 def test_conv2d_1x1_keeps_a_view_of_its_input_not_a_copy():
