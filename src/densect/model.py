@@ -70,6 +70,10 @@ class DenseNetConfig:
         if min(self.growth_rate, self.init_channels, self.bottleneck_factor,
                self.input_channels, self.input_size, self.num_outputs) < 1:
             raise ValueError("all size fields must be positive")
+        if not (0.0 < self.bn_momentum <= 1.0):
+            raise ValueError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
+        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0.0):
+            raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps}")
 
 
 DENSENET121 = DenseNetConfig(block_layers=(6, 12, 24, 16))

@@ -9,13 +9,15 @@ for an absent optional operand), never forward, so the loss owns its graph and
 dropping it frees the graph by reference counting. ``backward`` replays each
 node a gradient reaches once, newest first, from a max-heap on recording order.
 
-A stride-1 convolution builds no column matrix. It lays the zero-padded input
-out as flat rows, where every kernel tap is a shifted column window, and
-computes all taps in one GEMM with the taps stacked on the output-channel
-side (after Anderson et al., arXiv:1709.03395, and MEC, arXiv:1706.06873).
-Its node keeps only that flat padded input, a view of the input itself for
-a 1x1 unpadded conv. Only the strided stem conv uses im2col + matmul and keeps
-its columns; its input gradient is a transposed convolution through im2col.
+Convolution has one GEMM path. A strided conv first gathers its kernel taps
+(the strided slices pooling also uses) into columns, and is then a 1x1 conv
+over them. The stride-1 conv builds no column matrix: it lays the
+zero-padded input out as flat rows, where every kernel tap is a shifted
+column window, and computes all taps in one GEMM with the taps stacked on
+the output-channel side (after Anderson et al., arXiv:1709.03395, and MEC,
+arXiv:1706.06873). Its node keeps only that flat padded input, a view of
+the input itself for a 1x1 unpadded conv. The backward scatters a strided
+conv's column gradient back through the same taps.
 
 Default element type is float32; pass ``dtype=np.float64`` when building
 tensors for finite-difference verification.
@@ -28,7 +30,6 @@ import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
@@ -325,102 +326,12 @@ def _pad_flat(a: np.ndarray, padding: int, tail: int) -> np.ndarray:
     return out
 
 
-def _canvas(a: np.ndarray, top: int, left: int, stride: int, hc: int, wc: int) -> np.ndarray:
-    # zeros of (N, C, hc, wc) with a[:, :, i, j] at (top + stride*i, left + stride*j);
-    # rows or columns that fall outside are dropped (a crop when top or left < 0)
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, hc, wc), dtype=a.dtype)
-    spans = []
-    for start, count, size in ((top, h, hc), (left, w, wc)):
-        lo = max(0, (stride - 1 - start) // stride)
-        hi = min(count, (size - 1 - start) // stride + 1)
-        if hi <= lo:
-            return out
-        spans.append((slice(start + stride * lo, start + stride * (hi - 1) + 1, stride), slice(lo, hi)))
-    (ys, ya), (xs, xa) = spans
-    out[:, :, ys, xs] = a[:, :, ya, xa]
-    return out
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h2: int, w2: int) -> np.ndarray:
-    # (N, C, Hp, Wp) -> (N, C*kh*kw, h2*w2), rows in (C, kh, kw) C-order
-    n, c = xp.shape[0], xp.shape[1]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, h2 * w2)
-
-
-def _bias_grad(g: np.ndarray, bias: Optional[Tensor]):
-    return g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
-
-
-def _conv_taps(x: Tensor, weight: Tensor, bias: Optional[Tensor], padding: int, h2: int, w2: int):
-    # stride 1 on xpf, the flat padded input (N, C, Hp*Wp + kw-1): tap (ky, kx)
-    # is its column window from s = ky*Wp + kx, and output row y is columns
-    # y*Wp .. y*Wp + W2-1 of every window (the Wp - W2 after them wrap around)
-    n, c, h, w = x.data.shape
-    o, _, kh, kw = weight.data.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    offsets = [ky * wp + kx for ky in range(kh) for kx in range(kw)]
-    xpf = _pad_flat(x.data, padding, kw - 1)
-    w_taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
-
-    def grid(a, s):
-        # the (N, O, H2, W2) output grid of the window at column s of a
-        return a[..., s:s + h2 * wp].reshape(n, o, h2, wp)[..., :w2]
-
-    # one GEMM with K = C gives every tap's (O, Hp*Wp + kw-1) product, stacked
-    y = np.matmul(w_taps, xpf).reshape(n, kh * kw, o, -1)
-    taps = [grid(y[:, t], s) for t, s in enumerate(offsets)]
-    out = taps[0] if len(taps) == 1 else taps[0] + taps[1]
-    for tap in taps[2:]:
-        out += tap
-
-    def rule(g):
-        # stacked_g: block t is g at offset s_t with zero wrap columns, so each
-        # gradient is one GEMM against it; a 1x1 conv's block is g itself
-        if len(offsets) == 1:
-            stacked_g = g.reshape(n, o, -1)
-        else:
-            stacked_g = np.zeros((n, kh * kw, o, xpf.shape[2]), dtype=g.dtype)
-            for t, s in enumerate(offsets):
-                grid(stacked_g[:, t], s)[...] = g
-            stacked_g = stacked_g.reshape(n, kh * kw * o, -1)
-        gw = None
-        if weight.requires_grad:
-            gw = np.matmul(stacked_g, xpf.transpose(0, 2, 1)).sum(axis=0)
-            gw = np.ascontiguousarray(gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
-        gx = None
-        if x.requires_grad:
-            gxp = np.matmul(w_taps.T, stacked_g)[:, :, :hp * wp].reshape(n, c, hp, wp)
-            gx = gxp[:, :, padding:padding + h, padding:padding + w]
-        return (gx, gw, _bias_grad(g, bias))
-
-    return out, rule
-
-
-def _conv_cols(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int, padding: int,
-               h2: int, w2: int):
-    # im2col + matmul; the input gradient is the transposed convolution: the
-    # output gradient spread out by the stride and padded (or cropped) by
-    # kh-1-padding, convolved with the flipped kernel through im2col
-    n, c, h, w = x.data.shape
-    o, _, kh, kw = weight.data.shape
-    xp = _pad_flat(x.data, padding, 0).reshape(n, c, h + 2 * padding, w + 2 * padding)
-    cols = _im2col(xp, kh, kw, stride, h2, w2)
-    out = np.matmul(weight.data.reshape(o, c * kh * kw), cols).reshape(n, o, h2, w2)
-
-    def rule(g):
-        gw = None
-        if weight.requires_grad:
-            gw = np.matmul(g.reshape(n, o, h2 * w2), cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
-        gx = None
-        if x.requires_grad:
-            gp = _canvas(g, kh - 1 - padding, kw - 1 - padding, stride, h + kh - 1, w + kw - 1)
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-            gx = np.matmul(flipped, _im2col(gp, kh, kw, 1, h, w)).reshape(n, c, h, w)
-        return (gx, gw, _bias_grad(g, bias))
-
-    return out, rule
+def _taps(kh: int, kw: int, stride: int, h2: int, w2: int) -> list:
+    # taps[ky*kw + kx] indexes, in a padded (..., Hp, Wp) array, the element
+    # under window offset (ky, kx) of every one of the h2 x w2 windows
+    return [(Ellipsis, slice(ky, ky + stride * (h2 - 1) + 1, stride),
+             slice(kx, kx + stride * (w2 - 1) + 1, stride))
+            for ky in range(kh) for kx in range(kw)]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -428,11 +339,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """2-D convolution of (N, C, H, W) with (O, C, kh, kw).
 
     Output spatial extent is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width). A stride-1 conv builds no column matrix (``_conv_taps``): its node
-    keeps only the flat zero-padded input, a view of x for a 1x1 unpadded
-    conv. A strided conv, in the model only the stem, is im2col + matmul
-    (``_conv_cols``) and keeps its columns. Nothing is kept while recording
-    is off.
+    width). A strided conv (in the model only the stem) gathers its kernel
+    taps of the padded input into columns (N, C*kh*kw, H2, W2) and is an
+    unpadded 1x1 conv over them, so every conv is one tap-stacked stride-1
+    GEMM. Its node keeps only the GEMM's flat padded input: a view of x for a
+    1x1 unpadded conv, of the columns for a strided one, whose backward
+    scatters the column gradient back through the taps. Nothing is kept
+    while recording is off.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weight, got {x.data.shape} and {weight.data.shape}")
@@ -444,6 +357,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     o, cw, kh, kw = weight.data.shape
     if cw != c:
         raise ShapeError(f"conv2d: input has {c} channels but weight expects {cw}")
+    if kh < 1 or kw < 1:
+        raise GeometryError(f"conv2d: kernel {kh}x{kw} is empty")
     h2 = _conv_out_size(h, kh, stride, padding)
     w2 = _conv_out_size(w, kw, stride, padding)
     if h2 < 1 or w2 < 1:
@@ -453,12 +368,69 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.data.shape != (o,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({o},)")
 
-    if stride == 1:
-        out, rule = _conv_taps(x, weight, bias, padding, h2, w2)
-    else:
-        out, rule = _conv_cols(x, weight, bias, stride, padding, h2, w2)
+    # the conv as a stride-1 conv of xs (N, cs, hs, ws), padded by ps, with a
+    # (O, cs, khs, kws) kernel
+    xs, wts, ps, taps = x.data, weight.data, padding, None
+    if stride > 1:
+        # row ci*kh*kw + t of the columns is tap t of channel ci
+        taps = _taps(kh, kw, stride, h2, w2)
+        xp = _pad_flat(xs, padding, 0).reshape(n, c, h + 2 * padding, w + 2 * padding)
+        xs = np.stack([xp[tap] for tap in taps], axis=2).reshape(n, c * kh * kw, h2, w2)
+        wts, ps = wts.reshape(o, c * kh * kw, 1, 1), 0
+    _, cs, hs, ws = xs.shape
+    khs, kws = wts.shape[2:]
+
+    # xpf is xs padded into flat rows (N, cs, Hp*Wp + kws-1): tap (ky, kx) is
+    # its column window from s = ky*Wp + kx, and output row y is columns
+    # y*Wp .. y*Wp + W2-1 of every window (the Wp - W2 after them wrap around)
+    hp, wp = hs + 2 * ps, ws + 2 * ps
+    offsets = [ky * wp + kx for ky in range(khs) for kx in range(kws)]
+    xpf = _pad_flat(xs, ps, kws - 1)
+    w_taps = wts.transpose(2, 3, 0, 1).reshape(khs * kws * o, cs)
+
+    def grid(a, s):
+        # the (N, O, H2, W2) output grid of the window at column s of a
+        return a[..., s:s + h2 * wp].reshape(n, o, h2, wp)[..., :w2]
+
+    # one GEMM with K = cs gives every tap's (O, Hp*Wp + kws-1) product, stacked
+    y = np.matmul(w_taps, xpf).reshape(n, khs * kws, o, -1)
+    grids = [grid(y[:, t], s) for t, s in enumerate(offsets)]
+    out = grids[0] if len(grids) == 1 else grids[0] + grids[1]
+    for part in grids[2:]:
+        out += part
     if bias is not None:
         out = out + bias.data.reshape(1, o, 1, 1)
+
+    def rule(g):
+        # stacked_g: block t is g at offset s_t with zero wrap columns, so each
+        # gradient is one GEMM against it; a 1x1 conv's block is g itself
+        if len(offsets) == 1:
+            stacked_g = g.reshape(n, o, -1)
+        else:
+            stacked_g = np.zeros((n, khs * kws, o, xpf.shape[2]), dtype=g.dtype)
+            for t, s in enumerate(offsets):
+                grid(stacked_g[:, t], s)[...] = g
+            stacked_g = stacked_g.reshape(n, khs * kws * o, -1)
+        gw = None
+        if weight.requires_grad:
+            gw = np.matmul(stacked_g, xpf.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.ascontiguousarray(gw.reshape(khs, kws, o, cs).transpose(2, 3, 0, 1))
+            gw = gw.reshape(o, c, kh, kw)
+        gx = None
+        if x.requires_grad:
+            gx = np.matmul(w_taps.T, stacked_g)[:, :, :hp * wp].reshape(n, cs, hp, wp)
+            gx = gx[:, :, ps:ps + hs, ps:ps + ws]
+            if taps is not None:
+                # taps in reverse order add to a shared position in window
+                # raster order, as in pool2d
+                gcols = gx.reshape(n, c, kh * kw, h2, w2)
+                gx = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+                for t in reversed(range(len(taps))):
+                    gx[taps[t]] += gcols[:, :, t]
+                gx = gx[:, :, padding:padding + h, padding:padding + w]
+        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
+        return (gx, gw, gb)
+
     return record((x, weight, bias), out, rule)
 
 
@@ -488,6 +460,10 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
 
     if mode not in ("max", "average"):
         raise ValueError(f"pool2d: unknown mode {mode!r}")
+    if kernel < 1:
+        raise GeometryError(f"pool2d: kernel must be >= 1, got {kernel}")
+    if padding < 0:
+        raise ValueError(f"pool2d: padding must be >= 0, got {padding}")
     if kernel > h + 2 * padding or kernel > w + 2 * padding:
         raise GeometryError(f"pool2d: kernel {kernel} exceeds padded extent {h + 2 * padding}x{w + 2 * padding}")
     if padding > kernel // 2:
@@ -504,10 +480,7 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                     constant_values=-np.inf if mode == "max" else 0.0)
-    # taps[ky*kernel + kx] indexes the input under window offset (ky, kx) of every window
-    taps = [(Ellipsis, slice(ky, ky + stride * (h2 - 1) + 1, stride),
-             slice(kx, kx + stride * (w2 - 1) + 1, stride))
-            for ky in range(kernel) for kx in range(kernel)]
+    taps = _taps(kernel, kernel, stride, h2, w2)
     out = xp[taps[0]].copy()
     combine = np.maximum if mode == "max" else np.add
     for tap in taps[1:]:

@@ -260,6 +260,20 @@ def test_checkpoint_with_non_utf8_entry_name_is_data_error(trained, tmp_path, ca
     assert "not UTF-8" in err
 
 
+def test_predict_with_out_of_range_batchnorm_momentum_is_data_error(dataset, trained, tmp_path,
+                                                                    capsys):
+    buf = (trained / "final.ckpt").read_bytes()
+    cfg_len = int.from_bytes(buf[12:16], "little")
+    cfg = buf[16:16 + cfg_len].replace(b'"bn_momentum": 0.1', b'"bn_momentum": 2.0')
+    assert cfg != buf[16:16 + cfg_len]
+    ckpt = tmp_path / "bad_momentum.ckpt"
+    ckpt.write_bytes(buf[:16] + cfg + buf[16 + cfg_len:])
+    code, _, err = run_cli(capsys, "predict", "--input", str(dataset / "data" / "synth001.mha"),
+                           "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "bn_momentum" in err
+
+
 def test_predict_missing_volume_is_data_error(trained, capsys):
     code, _, err = run_cli(capsys, "predict", "--input", "/no/volume.mha",
                            "--checkpoint", str(trained / "final.ckpt"))
@@ -306,6 +320,22 @@ def test_one_study_training_split_needs_more_than_a_1x1_block4(
     assert got == code
     if code:
         assert "training split has 1 study" in err and "target size 32" in err
+        assert not out.exists()
+    else:
+        assert len(metrics_from_csv(str(out / "metrics.csv"))) == 1
+
+
+@pytest.mark.parametrize("target_size,code", [(16, 1), (28, 1), (29, 0)])
+def test_a_target_size_below_29_is_refused_before_any_artifact(
+        dataset, tmp_path, capsys, target_size, code):
+    # below 29 px feature_map_plan gives block4 an empty map; at 29 it is 1x1
+    out = tmp_path / "o"
+    got, _, err = run_cli(capsys, "train", "--data", str(dataset), "--out", str(out),
+                          "--preset", "reduced", "--target-size", str(target_size),
+                          "--batch-size", "4", "--epochs", "1")
+    assert got == code
+    if code:
+        assert f"target size {target_size}" in err and "block4" in err
         assert not out.exists()
     else:
         assert len(metrics_from_csv(str(out / "metrics.csv"))) == 1

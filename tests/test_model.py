@@ -485,3 +485,10 @@ def test_config_validation():
         DenseNetConfig(compression=0.0)
     with pytest.raises(ValueError):
         DenseNetConfig(growth_rate=0)
+    for momentum in (0.0, -0.1, 1.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="bn_momentum"):
+            DenseNetConfig(bn_momentum=momentum)
+    for eps in (0.0, -1e-5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="bn_eps"):
+            DenseNetConfig(bn_eps=eps)
+    DenseNetConfig(bn_momentum=1.0, bn_eps=1e-12)

@@ -188,6 +188,9 @@ def test_conv2d_channel_mismatch():
 def test_conv2d_kernel_larger_than_input():
     with pytest.raises(GeometryError):
         conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))))
+    for kernel in ((0, 0), (0, 3), (3, 0)):
+        with pytest.raises(GeometryError, match="conv2d: kernel"):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1) + kernel)))
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
@@ -239,11 +242,12 @@ def check_conv2d_against_reference(x_shape, w_shape, stride, padding, with_bias=
 
 # (x shape, weight shape, stride, padding): the 1x1 view path, 3x3 with fewer
 # and with more output than input channels, stride 2 leaving the last input
-# row and column outside every window, and padding > kernel-1, where the
-# transposed conv crops the output gradient instead of padding it. Then the
+# row and column outside every window, and padding > kernel-1, at stride 1
+# and in a strided 1x1 whose border windows read only padding. Then the
 # stride-1 tap layout's edges: W = 1 and H = 1, a kernel as wide as the padded
 # input (one output column, no wrap-around columns), padding > kernel-1 with
-# 3x3, a non-square 2x3 kernel with padding, and a padded 1x1
+# 3x3, a non-square 2x3 kernel with padding, and a padded 1x1. Last, the
+# model's stem: 1 channel, 7x7, stride 2, padding 3
 CONV_GEOMETRIES = [
     ((2, 5, 4, 3), (3, 5, 1, 1), 1, 0),
     ((2, 4, 5, 4), (2, 4, 3, 3), 1, 1),
@@ -257,6 +261,7 @@ CONV_GEOMETRIES = [
     ((1, 2, 3, 4), (2, 2, 3, 3), 1, 3),
     ((2, 3, 4, 5), (2, 3, 2, 3), 1, 1),
     ((2, 3, 3, 4), (2, 3, 1, 1), 1, 1),
+    ((1, 1, 12, 10), (4, 1, 7, 7), 2, 3),
 ]
 
 
@@ -275,11 +280,11 @@ def test_conv2d_with_bias_matches_reference(stride):
 
 @given(n=st.integers(1, 2), c=st.integers(1, 2), o=st.integers(1, 2),
        h=st.integers(1, 6), w=st.integers(1, 6), kh=st.integers(1, 4), kw=st.integers(1, 4),
-       padding=st.integers(0, 3), with_bias=st.booleans())
+       stride=st.integers(1, 3), padding=st.integers(0, 3), with_bias=st.booleans())
 @settings(max_examples=50, deadline=None)
-def test_conv2d_stride1_property_matches_reference(n, c, o, h, w, kh, kw, padding, with_bias):
+def test_conv2d_property_matches_reference(n, c, o, h, w, kh, kw, stride, padding, with_bias):
     assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
-    check_conv2d_against_reference((n, c, h, w), (o, c, kh, kw), 1, padding, with_bias)
+    check_conv2d_against_reference((n, c, h, w), (o, c, kh, kw), stride, padding, with_bias)
 
 
 def test_conv2d_3x3_keeps_no_array_larger_than_its_flat_padded_input():
@@ -416,6 +421,12 @@ def test_pool_geometry_errors():
         pool2d(x, "max", kernel=2, stride=2, padding=2)
     with pytest.raises(ValueError):
         pool2d(x, "median", kernel=2, stride=2)
+    with pytest.raises(GeometryError, match="pool2d: kernel"):
+        pool2d(x, "max", kernel=0)
+    with pytest.raises(ValueError, match="pool2d: padding"):
+        pool2d(x, "max", kernel=2, padding=-1)
+    with pytest.raises(ValueError, match="pool2d: padding"):
+        pool2d(x, "average", kernel=3, stride=1, padding=-1)
 
 
 @pytest.mark.parametrize("mode,kernel,stride,padding", [
