@@ -74,13 +74,9 @@ class DenseNetConfig:
             raise ValueError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
         if not (math.isfinite(self.bn_eps) and self.bn_eps > 0.0):
             raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps}")
-
-
-DENSENET121 = DenseNetConfig(block_layers=(6, 12, 24, 16))
-DENSENET169 = DenseNetConfig(block_layers=(6, 12, 32, 32))
-# small enough for grad checks and CPU training in tests, structurally complete
-REDUCED = DenseNetConfig(block_layers=(1, 2, 2, 1), growth_rate=8,
-                         init_channels=16, input_size=32)
+        if next(s for name, s, _ in feature_map_plan(self) if name == "block4") < 1:
+            raise ValueError(f"input_size {self.input_size} leaves block4 an empty feature "
+                             "map; the smallest input is 29 px")
 
 
 def weighted_layer_count(config: DenseNetConfig) -> int:
@@ -113,6 +109,13 @@ def feature_map_plan(config: DenseNetConfig) -> list[tuple[str, int, int]]:
     rows.append(("global_pool", 1, c))
     rows.append(("fc", 1, config.num_outputs))
     return rows
+
+
+DENSENET121 = DenseNetConfig(block_layers=(6, 12, 24, 16))
+DENSENET169 = DenseNetConfig(block_layers=(6, 12, 32, 32))
+# small enough for grad checks and CPU training in tests, structurally complete
+REDUCED = DenseNetConfig(block_layers=(1, 2, 2, 1), growth_rate=8,
+                         init_channels=16, input_size=32)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +421,13 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
         if nbytes != math.prod(dims) * 4:
             raise CheckpointError(f"{name}: payload length {nbytes} inconsistent with shape {dims}")
         arr = np.frombuffer(r.take(nbytes), dtype="<f4").reshape(dims)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise CheckpointError(f"{name}: non-finite value {arr.flat[i]} at flat index {i}")
+        if name.endswith(".running_var") and arr.min() < 0:
+            i = int(np.argmax(arr < 0))
+            raise CheckpointError(f"{name}: negative running variance {arr.flat[i]} at flat index {i}")
         target.data[...] = arr
     if r.pos != len(buf):
         raise CheckpointError(f"{len(buf) - r.pos} trailing bytes after state table")

@@ -541,12 +541,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Training mode normalizes with biased batch statistics and updates the
     running buffers in place (running variance uses the unbiased estimate,
-    matching the usual convention); it keeps x-hat for the backward rule.
-    Eval mode is the affine map x*s + t with s = gamma/sqrt(running_var+eps)
-    and t = beta - running_mean*s: one output array, no x-hat. Its backward
-    rule recomputes x-hat from the input, with the running statistics as
-    they were at forward time, so a later training-mode call that updates
-    the buffers does not change a pending gradient.
+    matching the usual convention). Eval mode is the affine map x*s + t with
+    s = gamma/sqrt(running_var+eps) and t = beta - running_mean*s. In both
+    modes the node keeps only the input, the mean and 1/sqrt(var+eps) of the
+    forward (eval mode's copied then, so a later training-mode buffer update
+    cannot change a pending gradient), and the backward rule recomputes
+    x-hat from them with the forward's own operations.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: expected 4-D input, got {x.data.shape}")
@@ -565,13 +565,13 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             raise DegenerateStatsError(
                 f"batchnorm2d: training mode needs >= 2 elements per channel, got {m}")
         mean = x3.mean(axis=(0, 2))
-        xhat = x3 - mean[:, None]
-        var = np.einsum("ncm,ncm->c", xhat, xhat) / m
+        out = x3 - mean[:, None]
+        var = np.einsum("ncm,ncm->c", out, out) / m
         running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * (var * m / (m - 1))
         inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv[:, None]
-        out = xhat * gamma.data[:, None]
+        out *= inv[:, None]
+        out *= gamma.data[:, None]
         out += beta.data[:, None]
     else:
         mean = running_mean.data.copy()
@@ -582,7 +582,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def rule(g):
         g3 = g.reshape(n, c, h * w)
-        xh = xhat if training else (x3 - mean[:, None]) * inv[:, None]
+        xh = x3 - mean[:, None]
+        xh *= inv[:, None]
         sum_g = g3.sum(axis=(0, 2))                   # dbeta
         sum_gx = np.einsum("ncm,ncm->c", g3, xh)      # dgamma
         dx = None
@@ -591,7 +592,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             dx = g3 * scale[:, None]
             if training:
                 # dx = gamma*inv/m * (m*g - sum(g) - xhat*sum(g*xhat))
-                dx -= xh * (scale * sum_gx / m)[:, None]
+                xh *= (scale * sum_gx / m)[:, None]
+                dx -= xh
                 dx -= (scale * sum_g / m)[:, None]
             dx = dx.reshape(n, c, h, w)
         return (dx, sum_gx if gamma.requires_grad else None, sum_g if beta.requires_grad else None)

@@ -255,10 +255,7 @@ METRICS_HEADER = tuple(f.name for f in fields(EpochMetrics))
 
 
 def _model_config(train_config: TrainConfig):
-    base = PRESETS[train_config.preset]
-    if base.input_size == train_config.preprocess.target_size:
-        return base
-    return replace(base, input_size=train_config.preprocess.target_size)
+    return replace(PRESETS[train_config.preset], input_size=train_config.preprocess.target_size)
 
 
 def train(records: Sequence[StudyRecord], config: TrainConfig,
@@ -274,9 +271,10 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
     A trailing batch containing a single study is skipped: batch statistics
     are undefined for one sample once the feature map reaches 1x1. The
     per-epoch shuffle rotates which study that is, so none is starved. A
-    target size whose block4 map is empty (below 29 px) cannot run the model,
-    and a training split of one study at a size whose block4 map is 1x1 has
-    no batch to train on: both are a ValueError before any artifact is written.
+    target size whose block4 map is empty (below 29 px) is refused by
+    DenseNetConfig, and a training split of one study at a size whose block4
+    map is 1x1 has no batch to train on: both are a ValueError before any
+    artifact is written.
     """
     if config.val_count > 0:
         parts = split(records, config.val_count, seed=config.seed)
@@ -286,10 +284,6 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
     val_records = parts.val if parts.val else parts.train
     model_config = _model_config(config)
     block4 = next(s for name, s, _ in feature_map_plan(model_config) if name == "block4")
-    if block4 < 1:
-        raise ValueError(
-            f"target size {model_config.input_size} leaves block4 an empty feature "
-            "map; use a larger target size")
     if len(train_records) == 1 and block4 == 1:
         raise ValueError(
             f"the training split has 1 study and target size {model_config.input_size} "

@@ -11,7 +11,8 @@ import pytest
 
 from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
 from densect.mha import read_mha_file, write_mha_file
-from densect.model import DENSENET121, REDUCED, DenseNetModel, feature_map_plan
+from densect.model import (DENSENET121, REDUCED, DenseNetModel, checkpoint_bytes,
+                           feature_map_plan, model_from_checkpoint_bytes)
 from densect.training import TrainConfig, metrics_from_csv
 
 
@@ -274,6 +275,37 @@ def test_predict_with_out_of_range_batchnorm_momentum_is_data_error(dataset, tra
     assert "bn_momentum" in err
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate", "describe"])
+@pytest.mark.parametrize("fault", ["input-size-16", "nan-weight", "negative-running-var"])
+def test_checkpoint_with_unusable_values_is_data_error(dataset, trained, tmp_path, capsys,
+                                                       command, fault):
+    buf = (trained / "final.ckpt").read_bytes()
+    if fault == "input-size-16":
+        cfg_len = int.from_bytes(buf[12:16], "little")
+        cfg = buf[16:16 + cfg_len].replace(b'"input_size": 32', b'"input_size": 16')
+        assert len(cfg) == cfg_len and cfg != buf[16:16 + cfg_len]
+        buf = buf[:16] + cfg + buf[16 + cfg_len:]
+    else:
+        model = model_from_checkpoint_bytes(buf)
+        if fault == "nan-weight":
+            model.stem_conv.weight.data.flat[5] = np.nan
+        else:
+            model.stem_bn.running_var.data[3] = -0.25
+        buf = checkpoint_bytes(model)
+    ckpt = tmp_path / f"{fault}.ckpt"
+    ckpt.write_bytes(buf)
+    args = {"predict": ["--input", str(dataset / "data" / "synth001.mha")],
+            "evaluate": ["--data", str(dataset), "--report", str(tmp_path / "r.csv")],
+            "describe": []}[command]
+    code, out, err = run_cli(capsys, command, *args, "--checkpoint", str(ckpt))
+    assert code == 2
+    assert out == ""
+    assert {"input-size-16": "input_size 16 leaves block4 an empty feature map",
+            "nan-weight": "stem.conv.weight: non-finite value nan at flat index 5",
+            "negative-running-var": "stem.bn.running_var: negative running variance -0.25 "
+                                    "at flat index 3"}[fault] in err
+
+
 def test_predict_missing_volume_is_data_error(trained, capsys):
     code, _, err = run_cli(capsys, "predict", "--input", "/no/volume.mha",
                            "--checkpoint", str(trained / "final.ckpt"))
@@ -335,7 +367,7 @@ def test_a_target_size_below_29_is_refused_before_any_artifact(
                           "--batch-size", "4", "--epochs", "1")
     assert got == code
     if code:
-        assert f"target size {target_size}" in err and "block4" in err
+        assert f"input_size {target_size} " in err and "block4" in err
         assert not out.exists()
     else:
         assert len(metrics_from_csv(str(out / "metrics.csv"))) == 1

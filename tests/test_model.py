@@ -8,6 +8,8 @@ against itself.
 """
 
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +31,8 @@ from densect.model import (
     model_from_checkpoint_bytes,
     weighted_layer_count,
 )
-from densect.tensor import Tensor, no_grad
+from densect.tensor import Tensor, backward, no_grad
+from densect.training import bce_with_logits
 
 
 def param_count_ref(blocks, growth, init_c, bottleneck, compression, in_ch, n_out):
@@ -451,7 +454,7 @@ def test_checkpoint_rejects_non_utf8_entry_name_naming_its_offset():
 
 # a whole checkpoint in ~4.5 KB, so most mutations land in its structure
 TINY = DenseNetConfig(block_layers=(1, 1, 1, 1), growth_rate=2, init_channels=2,
-                      bottleneck_factor=1, input_size=8)
+                      bottleneck_factor=1, input_size=29)
 TINY_CHECKPOINT = checkpoint_bytes(DenseNetModel(TINY, seed=1))
 
 
@@ -492,3 +495,79 @@ def test_config_validation():
         with pytest.raises(ValueError, match="bn_eps"):
             DenseNetConfig(bn_eps=eps)
     DenseNetConfig(bn_momentum=1.0, bn_eps=1e-12)
+    for size in (1, 8, 16, 28):
+        with pytest.raises(ValueError, match=f"input_size {size} leaves block4 an empty"):
+            replace(REDUCED, input_size=size)
+    plan = {name: s for name, s, _ in feature_map_plan(replace(REDUCED, input_size=29))}
+    assert plan["block4"] == 1
+
+
+def _with_config_text(buf: bytes, old: bytes, new: bytes) -> bytes:
+    # the checkpoint with one edit to its embedded config JSON
+    cfg_len = int.from_bytes(buf[12:16], "little")
+    cfg = buf[16:16 + cfg_len].replace(old, new)
+    assert cfg != buf[16:16 + cfg_len]
+    return buf[:12] + len(cfg).to_bytes(4, "little") + cfg + buf[16 + cfg_len:]
+
+
+def test_checkpoint_with_an_input_size_below_29_is_refused():
+    buf = checkpoint_bytes(DenseNetModel(REDUCED, seed=2))
+    model_from_checkpoint_bytes(_with_config_text(buf, b'"input_size": 32', b'"input_size": 29'))
+    with pytest.raises(CheckpointError, match="input_size 16 leaves block4 an empty"):
+        model_from_checkpoint_bytes(_with_config_text(buf, b'"input_size": 32', b'"input_size": 16'))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry,index", [("stem.conv.weight", (3, 0, 2, 5)),
+                                         ("block2.layer1.bn2.running_mean", (7,)),
+                                         ("block3.layer2.bn1.running_var", (0,)),
+                                         ("fc.bias", (1,))])
+def test_checkpoint_rejects_a_non_finite_value_naming_entry_and_flat_index(entry, index, value):
+    model = DenseNetModel(REDUCED, seed=2)
+    t = dict(model.named_state())[entry]
+    t.data[index] = value
+    flat = int(np.ravel_multi_index(index, t.shape))
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(entry)}: non-finite value {value} at flat index {flat}$"):
+        model_from_checkpoint_bytes(checkpoint_bytes(model))
+
+
+def test_checkpoint_rejects_a_negative_running_variance_naming_its_flat_index():
+    model = DenseNetModel(REDUCED, seed=2)
+    state = dict(model.named_state())
+    # zero variance and negative values elsewhere are valid
+    state["stem.bn.running_var"].data[:] = 0.0
+    state["stem.bn.running_mean"].data[:] = -1.0
+    state["block1.layer1.bn1.beta"].data[:] = -1.0
+    model_from_checkpoint_bytes(checkpoint_bytes(model))
+    state["trans2.bn.running_var"].data[[4, 9]] = (-0.25, -3.0)
+    with pytest.raises(CheckpointError, match=r"^trans2\.bn\.running_var: negative running "
+                                              r"variance -0\.25 at flat index 4$"):
+        model_from_checkpoint_bytes(checkpoint_bytes(model))
+
+
+@given(blocks=st.tuples(*[st.integers(1, 2)] * 4), growth=st.integers(2, 4),
+       compression=st.sampled_from([0.5, 1.0]), channels=st.integers(1, 3),
+       outputs=st.integers(1, 3), size=st.integers(8, 80))
+@settings(max_examples=50, deadline=None)
+def test_every_small_config_runs_its_feature_map_plan_or_is_refused(
+        blocks, growth, compression, channels, outputs, size):
+    fields = dict(block_layers=blocks, growth_rate=growth, init_channels=2 * growth,
+                  compression=compression, input_channels=channels, num_outputs=outputs,
+                  input_size=size)
+    if size < 29:
+        with pytest.raises(ValueError, match="block4"):
+            DenseNetConfig(**fields)
+        return
+    config = DenseNetConfig(**fields)
+    model = DenseNetModel(config, seed=size)
+    rng = np.random.default_rng(size)
+    x = Tensor(rng.standard_normal((2, channels, size, size)).astype(np.float32))
+    logits, stages = model.forward_with_stages(x, training=True)
+    plan = feature_map_plan(config)
+    assert [name for name, _ in stages] == [name for name, _, _ in plan]
+    for (name, shape), (_, s, c) in zip(stages, plan):
+        assert shape == ((2, c) if name == "fc" else (2, c, s, s)), name
+    backward(bce_with_logits(logits, rng.integers(0, 2, (2, outputs)).astype(np.float32)))
+    for name, p in model.named_parameters():
+        assert p.grad is not None and np.all(np.isfinite(p.grad)), name

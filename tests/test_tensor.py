@@ -404,6 +404,22 @@ def test_relu_and_max_pool_retain_no_mask_or_index():
         assert kept and all(a.dtype == np.float32 for a in kept)
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_retains_no_array_but_a_view_of_its_input(training):
+    # both modes rebuild x-hat in backward from the input the node holds;
+    # reading an unassigned cell raises ValueError
+    x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 4, 4)), requires_grad=True,
+               dtype=np.float32)
+    params = [Tensor(np.full(3, v, dtype=np.float32), requires_grad=grad)
+              for v, grad in ((1.5, True), (0.2, True), (0.1, False), (2.0, False))]
+    out = batchnorm2d(x, *params, training=training)
+    cells = [cell.cell_contents for cell in out.node.backward_rule.__closure__]
+    arrays = [v.data if isinstance(v, Tensor) else v for v in cells
+              if isinstance(v, (Tensor, np.ndarray))]
+    large = [a for a in arrays if a.size >= x.size]
+    assert large and all(np.shares_memory(a, x.data) for a in large)
+
+
 @given(st.integers(0, 1000))
 @settings(max_examples=25, deadline=None)
 def test_max_pool_dominates_average_pool(seed):
