@@ -7,8 +7,10 @@ then explicit flags — and unknown keys anywhere are an error, not a warning.
 Every setting is both a config-file key and a ``--kebab-case`` flag
 (``batch_size`` is ``--batch-size``); the keys, defaults and value types are
 the TrainConfig and PreprocessConfig fields. train takes every setting,
-evaluate takes batch_size, threshold and the preprocessing keys, and predict
-takes threshold and the preprocessing keys.
+evaluate takes batch_size, threshold and the preprocessing keys but
+target_size, and predict takes threshold and the same preprocessing keys:
+a checkpoint's input size is the size they preprocess to. A config file may
+set only the keys its subcommand takes.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 (unreadable volume, malformed reference, bad checkpoint), 3 divergence.
@@ -61,10 +63,13 @@ _DEFAULTS |= _DEFAULTS.pop("preprocess")
 _SCHEMA = {key: (_optional_float if default is None else type(default), default)
            for key, default in _DEFAULTS.items()}
 _PREPROCESS_KEYS = [f.name for f in fields(PreprocessConfig)]
+# what evaluate and predict take: the checkpoint fixes target_size
+_IMAGE_KEYS = [key for key in _PREPROCESS_KEYS if key != "target_size"]
 
 
-def _read_config_file(path: str) -> dict:
-    """Parse a key=value settings file; every key must be in the schema."""
+def _read_config_file(path: str, command: str, keys: Sequence[str]) -> dict:
+    """Parse a key=value settings file; every key must be one of ``keys``,
+    the settings ``command`` takes."""
     values = {}
     try:
         with open(path, "r") as fh:
@@ -80,8 +85,8 @@ def _read_config_file(path: str) -> dict:
         key, _, raw = text.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _SCHEMA:
-            raise UsageError(f"{path}:{line_no}: unknown setting {key!r}")
+        if key not in keys:
+            raise UsageError(f"{path}:{line_no}: {command} takes no setting {key!r}")
         if key in values:
             raise UsageError(f"{path}:{line_no}: duplicate setting {key!r}")
         convert = _SCHEMA[key][0]
@@ -93,14 +98,13 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args) -> tuple[dict, set]:
+def _resolve(args) -> dict:
     """Defaults < config file < flags; a setting counts as given when its
     flag is present, whatever its value (``--stop-accuracy none`` beats the
-    file). Returns (settings, explicitly-set keys)."""
-    given = vars(args)
-    explicit = _read_config_file(given["config"]) if "config" in given else {}
-    explicit |= {key: given[key] for key in _SCHEMA if key in given}
-    return _DEFAULTS | explicit, set(explicit)
+    file)."""
+    given, keys = vars(args), args.setting_keys
+    from_file = _read_config_file(given["config"], args.command, keys) if "config" in given else {}
+    return _DEFAULTS | from_file | {key: given[key] for key in keys if key in given}
 
 
 def _preprocess_config(s: dict) -> PreprocessConfig:
@@ -114,8 +118,10 @@ def _train_config(s: dict) -> TrainConfig:
 
 def _add_setting_flags(p: argparse.ArgumentParser, keys: Sequence[str]):
     """``--config`` plus a ``--kebab-case`` flag for each setting key, with
-    the converter the config file uses for that key. A flag left out leaves
-    no attribute, so ``_resolve`` can tell it from a given ``none``."""
+    the converter the config file uses for that key; ``keys`` is also what
+    the config file may set. A flag left out leaves no attribute, so
+    ``_resolve`` can tell it from a given ``none``."""
+    p.set_defaults(setting_keys=tuple(keys))
     p.add_argument("--config", default=argparse.SUPPRESS, help="key=value settings file")
     for key in keys:
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key][0],
@@ -123,12 +129,11 @@ def _add_setting_flags(p: argparse.ArgumentParser, keys: Sequence[str]):
 
 
 def _resolve_with_checkpoint(args) -> tuple[dict, DenseNetModel]:
-    """Resolve settings and load ``args.checkpoint``; unless set explicitly,
-    ``target_size`` is the checkpoint's input size."""
-    settings, provided = _resolve(args)
+    """Resolve settings and load ``args.checkpoint``, whose input size is the
+    ``target_size``."""
+    settings = _resolve(args)
     model = DenseNetModel.load_checkpoint(args.checkpoint)
-    if "target_size" not in provided:
-        settings["target_size"] = model.config.input_size
+    settings["target_size"] = model.config.input_size
     return settings, model
 
 
@@ -137,8 +142,7 @@ def _resolve_with_checkpoint(args) -> tuple[dict, DenseNetModel]:
 
 
 def cmd_train(args) -> int:
-    settings, _ = _resolve(args)
-    config = _train_config(settings)
+    config = _train_config(_resolve(args))
     records = load_reference(os.path.join(args.data, "reference.csv"))
     model, metrics = train(records, config, args.out)
     for m in metrics:
@@ -182,19 +186,14 @@ def cmd_predict(args) -> int:
 def cmd_describe(args) -> int:
     if args.checkpoint is not None:
         model = DenseNetModel.load_checkpoint(args.checkpoint)
-        config = model.config
-        n_params = model.count_params()
     else:
-        if args.preset not in PRESETS:
-            raise UsageError(f"preset must be one of {sorted(PRESETS)}, "
-                             f"got {args.preset!r}")
-        config = PRESETS[args.preset]
-        n_params = DenseNetModel.allocated(config).count_params()
+        model = DenseNetModel.allocated(PRESETS[args.preset or "densenet121"])
+    config = model.config
     for name, spatial, channels in feature_map_plan(config):
         print(f"{name:<14}{spatial:>8}{channels:>10}")
     layers = weighted_layer_count(config)
     print(f"layers: {layers}")
-    print(f"parameters: {n_params}")
+    print(f"parameters: {model.count_params()}")
     print(f"connections: {count_connections(layers)}")
     return 0
 
@@ -270,18 +269,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--report", default="evaluation.csv",
                    help="where to write the per-patient CSV")
-    _add_setting_flags(p, ["batch_size", "threshold", *_PREPROCESS_KEYS])
+    _add_setting_flags(p, ["batch_size", "threshold", *_IMAGE_KEYS])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify a single .mha volume")
     p.add_argument("--input", required=True, help="volume file (.mha)")
     p.add_argument("--checkpoint", required=True)
-    _add_setting_flags(p, ["threshold", *_PREPROCESS_KEYS])
+    _add_setting_flags(p, ["threshold", *_IMAGE_KEYS])
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("describe", help="print the architecture plan")
-    p.add_argument("--preset", default="densenet121")
-    p.add_argument("--checkpoint", help="describe the model in a checkpoint")
+    # --preset has no default: argparse does not count a value that is the
+    # default object as given, so "--preset densenet121" could pass the group
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=sorted(PRESETS),
+                        help="a preset architecture (default: densenet121)")
+    source.add_argument("--checkpoint", help="describe the model in a checkpoint")
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

@@ -1,23 +1,22 @@
 """CT preprocessing: slice selection, resampling, cropping, clip-normalization.
 
 Stage order is fixed — select a 2-D axial slice, bilinear-resample to the
-target extent, optionally crop, resample again if the crop changed the extent,
-then clip to a Hounsfield window and normalize to [0, 1]. Every stage is a
-pure function; ``preprocess`` composes them and re-raises any stage failure
-with the stage name attached.
+target extent, keep its central ``crop_fraction``, resample again if the crop
+changed the extent, then clip to a Hounsfield window and normalize to [0, 1].
+Every stage is a pure function; ``preprocess`` composes them and re-raises any
+stage failure with the stage name attached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
 from .mha import Volume
 
 SLICE_POLICIES = ("middle-axial", "index", "max-mean-intensity")
-CROP_POLICIES = ("none", "center-fraction")
 MIN_CROP_EXTENT = 8
 
 
@@ -36,7 +35,6 @@ class PreprocessError(ValueError):
 @dataclass(frozen=True)
 class PreprocessConfig:
     target_size: int = 224
-    crop_policy: str = "none"
     crop_fraction: float = 1.0
     slice_policy: str = "middle-axial"
     slice_index: int = 0
@@ -44,12 +42,13 @@ class PreprocessConfig:
     clip_hi: float = 400.0
 
     def __post_init__(self):
+        for key in ("clip_lo", "clip_hi"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.clip_lo < self.clip_hi:
             raise ValueError(f"clip_lo must be below clip_hi, got ({self.clip_lo}, {self.clip_hi})")
         if self.target_size < MIN_CROP_EXTENT:
             raise ValueError(f"target_size must be >= {MIN_CROP_EXTENT}, got {self.target_size}")
-        if self.crop_policy not in CROP_POLICIES:
-            raise ValueError(f"crop_policy must be one of {CROP_POLICIES}, got {self.crop_policy!r}")
         if not 0.0 < self.crop_fraction <= 1.0:
             raise ValueError(f"crop_fraction must be in (0, 1], got {self.crop_fraction}")
         if self.slice_policy not in SLICE_POLICIES:
@@ -117,15 +116,11 @@ def resample(image: np.ndarray, target: int) -> np.ndarray:
     return top * (1.0 - wy) + bottom * wy
 
 
-def crop(image: np.ndarray, policy: str = "none", fraction: float = 1.0) -> np.ndarray:
-    """Keep the central fraction of the image; ``none`` is the identity."""
+def crop(image: np.ndarray, fraction: float = 1.0) -> np.ndarray:
+    """Keep the central ``fraction`` of each axis; 1.0 copies the whole image."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError(f"crop expects a 2-D image, got {img.ndim}-D")
-    if policy == "none":
-        return img.copy()
-    if policy != "center-fraction":
-        raise ValueError(f"unknown crop policy {policy!r}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"crop fraction must be in (0, 1], got {fraction}")
     h, w = img.shape
@@ -133,7 +128,7 @@ def crop(image: np.ndarray, policy: str = "none", fraction: float = 1.0) -> np.n
     cw = int(round(fraction * w))
     if ch < MIN_CROP_EXTENT or cw < MIN_CROP_EXTENT:
         raise DegenerateCropError(
-            f"center-fraction({fraction}) of {h}x{w} yields {ch}x{cw}, "
+            f"crop fraction {fraction} of {h}x{w} yields {ch}x{cw}, "
             f"below the {MIN_CROP_EXTENT}x{MIN_CROP_EXTENT} minimum")
     y0 = (h - ch) // 2
     x0 = (w - cw) // 2
@@ -161,7 +156,7 @@ def preprocess(volume: Volume, config: PreprocessConfig,
     image = stage("select_slice", select_slice, volume,
                   config.slice_policy, config.slice_index)
     image = stage("resample", resample, image, config.target_size)
-    cropped = stage("crop", crop, image, config.crop_policy, config.crop_fraction)
+    cropped = stage("crop", crop, image, config.crop_fraction)
     if cropped.shape != image.shape:
         cropped = stage("resample", resample, cropped, config.target_size)
     image = stage("clip_normalize", clip_normalize, cropped, config.clip_lo, config.clip_hi)

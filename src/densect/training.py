@@ -231,8 +231,8 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch statistics need two studies "
                              f"per batch), got {self.batch_size}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.val_count < 0:
             raise ValueError(f"val_count must be >= 0, got {self.val_count}")
         if not 0.0 <= self.threshold <= 1.0:

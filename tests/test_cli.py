@@ -86,9 +86,7 @@ def test_console_script_is_installed():
 
 def test_flagless_train_resolves_to_the_config_defaults():
     args = _build_parser().parse_args(["train", "--data", "d", "--out", "o"])
-    settings, provided = _resolve(args)
-    assert provided == set()
-    assert _train_config(settings) == TrainConfig()
+    assert _train_config(_resolve(args)) == TrainConfig()
 
 
 def test_config_precedence_flags_beat_file_beats_defaults(dataset, tmp_path, capsys):
@@ -147,6 +145,26 @@ def test_config_missing_file(capsys):
     assert "config" in err
 
 
+@pytest.mark.parametrize("command, text, line, key", [
+    ("predict", "threshold = 0.5\ntarget_size = 64\n", 2, "target_size"),
+    ("evaluate", "epochs = 3\n", 1, "epochs"),
+    ("evaluate", "batch_size = 2\nlr = 5\n", 2, "lr"),
+], ids=["predict-target-size", "evaluate-epochs", "evaluate-lr"])
+def test_config_file_sets_only_its_subcommands_keys(command, text, line, key,
+                                                    dataset, trained, tmp_path, capsys):
+    # a key another subcommand takes is refused, not accepted and ignored
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    source = (["--input", str(dataset / "data" / "synth001.mha")] if command == "predict"
+              else ["--data", str(dataset), "--report", str(tmp_path / "r.csv")])
+    code, out, err = run_cli(capsys, command, *source, "--config", str(cfg),
+                             "--checkpoint", str(trained / "final.ckpt"))
+    assert code == 1
+    assert out == ""
+    assert f"{cfg}:{line}: {command} takes no setting {key!r}" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("key, value", [("epochs", "0"), ("preset", "vgg")],
                          ids=["epochs", "preset"])
 def test_invalid_parameter_value_is_usage_error(key, value, dataset, tmp_path, capsys):
@@ -156,16 +174,42 @@ def test_invalid_parameter_value_is_usage_error(key, value, dataset, tmp_path, c
     assert key in err
 
 
+@pytest.mark.parametrize("command, flag, key", [
+    ("predict", "--clip-lo=-inf", "clip_lo"),
+    ("evaluate", "--clip-lo=-inf", "clip_lo"),
+    ("predict", "--clip-hi=inf", "clip_hi"),
+    ("evaluate", "--clip-hi=nan", "clip_hi"),
+    ("train", "--lr=inf", "lr"),
+    ("train", "--lr=nan", "lr"),
+])
+def test_non_finite_setting_is_usage_error_before_any_artifact(
+        command, flag, key, dataset, trained, tmp_path, capsys):
+    out_dir, report = tmp_path / "o", tmp_path / "r.csv"
+    argv = {
+        "train": ["--data", str(dataset), "--out", str(out_dir), "--preset", "reduced",
+                  "--target-size", "32", "--batch-size", "4", "--epochs", "1"],
+        "evaluate": ["--data", str(dataset), "--report", str(report),
+                     "--checkpoint", str(trained / "final.ckpt")],
+        "predict": ["--input", str(dataset / "data" / "synth001.mha"),
+                    "--checkpoint", str(trained / "final.ckpt")],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv, flag)
+    assert code == 1
+    assert out == ""
+    assert f"{key} must be" in err and "finite" in err
+    assert not out_dir.exists() and not report.exists()
+
+
 # ---------------------------------------------------------------- setting flags
 
-PREPROCESS_FLAGS = {"--target-size", "--clip-lo", "--clip-hi", "--crop-policy",
-                    "--crop-fraction", "--slice-policy", "--slice-index"}
+# evaluate and predict take the size from the checkpoint, not a flag
+IMAGE_FLAGS = {"--clip-lo", "--clip-hi", "--crop-fraction", "--slice-policy", "--slice-index"}
 SETTING_FLAGS = {
     "train": {"--preset", "--epochs", "--batch-size", "--lr", "--seed",
               "--val-count", "--threshold", "--checkpoint-every",
-              "--stop-accuracy"} | PREPROCESS_FLAGS,
-    "evaluate": {"--batch-size", "--threshold"} | PREPROCESS_FLAGS,
-    "predict": {"--threshold"} | PREPROCESS_FLAGS,
+              "--stop-accuracy", "--target-size"} | IMAGE_FLAGS,
+    "evaluate": {"--batch-size", "--threshold"} | IMAGE_FLAGS,
+    "predict": {"--threshold"} | IMAGE_FLAGS,
 }
 OTHER_FLAGS = {
     "train": {"--data", "--out"},
@@ -174,7 +218,20 @@ OTHER_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command, count", [("train", 16), ("evaluate", 9), ("predict", 8)])
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_evaluate_and_predict_take_the_size_from_the_checkpoint(command, dataset, trained,
+                                                                tmp_path, capsys):
+    # even the checkpoint's own size is refused: there is no second source
+    source = (["--input", str(dataset / "data" / "synth001.mha")] if command == "predict"
+              else ["--data", str(dataset), "--report", str(tmp_path / "r.csv")])
+    code, out, err = run_cli(capsys, command, *source, "--target-size", "32",
+                             "--checkpoint", str(trained / "final.ckpt"))
+    assert code == 1
+    assert out == ""
+    assert "--target-size" in err
+
+
+@pytest.mark.parametrize("command, count", [("train", 15), ("evaluate", 7), ("predict", 6)])
 def test_subcommand_exposes_exactly_its_setting_flags(command, count):
     parser = _build_parser()
     subparsers = next(a for a in parser._actions
@@ -216,7 +273,7 @@ def test_readme_names_exactly_the_setting_keys():
 ], ids=["lr", "slice-index", "clip-lo", "stop-accuracy"])
 def test_setting_flag_reaches_the_config_with_the_field_type(flag, raw, read, expected):
     args = _build_parser().parse_args(["train", "--data", "d", "--out", "o", flag, raw])
-    value = read(_train_config(_resolve(args)[0]))
+    value = read(_train_config(_resolve(args)))
     assert value == expected
     assert type(value) is type(expected)
 
@@ -225,11 +282,9 @@ def test_explicit_none_flag_overrides_the_config_file(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("stop_accuracy = 1.0\n")
     base = ["train", "--data", "d", "--out", "o", "--config", str(cfg)]
-    settings, provided = _resolve(_build_parser().parse_args(base))
-    assert settings["stop_accuracy"] == 1.0
-    settings, provided = _resolve(_build_parser().parse_args(base + ["--stop-accuracy", "none"]))
+    assert _resolve(_build_parser().parse_args(base))["stop_accuracy"] == 1.0
+    settings = _resolve(_build_parser().parse_args(base + ["--stop-accuracy", "none"]))
     assert settings["stop_accuracy"] is None
-    assert "stop_accuracy" in provided
 
 
 # ---------------------------------------------------------------- data errors
@@ -454,7 +509,7 @@ def test_predict_output_format(dataset, trained, capsys):
 
 def test_predict_infers_input_size_from_checkpoint(trained, tmp_path, capsys):
     # a 64x64 volume against a 32-input checkpoint: the CLI resamples to the
-    # checkpoint's input size when --target-size is not given
+    # checkpoint's input size
     assert main(["synth", "--out", str(tmp_path), "--count", "1",
                  "--image-size", "64", "--depth", "4"]) == 0
     capsys.readouterr()
@@ -508,6 +563,15 @@ def test_describe_from_checkpoint(trained, capsys):
                            "--checkpoint", str(trained / "final.ckpt"))
     assert code == 0
     assert "layers: 17" in out  # reduced preset was trained
+
+
+@pytest.mark.parametrize("preset", ["densenet121", "densenet169"])
+def test_describe_takes_a_preset_or_a_checkpoint_not_both(trained, preset, capsys):
+    code, out, err = run_cli(capsys, "describe", "--preset", preset,
+                             "--checkpoint", str(trained / "final.ckpt"))
+    assert code == 1
+    assert out == ""
+    assert "--checkpoint" in err and "--preset" in err
 
 
 def test_describe_unknown_preset(capsys):

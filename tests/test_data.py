@@ -321,8 +321,7 @@ def test_item_error_on_empty_rescale_slope(small_dataset, tmp_path):
 
 
 def test_item_error_on_degenerate_preprocess(small_dataset):
-    cfg = PreprocessConfig(target_size=16, crop_policy="center-fraction",
-                           crop_fraction=0.2)
+    cfg = PreprocessConfig(target_size=16, crop_fraction=0.2)
     with pytest.raises(ItemError):
         load_study_image(small_dataset[0], cfg)
 

@@ -172,15 +172,16 @@ def test_select_slice_returns_float64_copy():
 
 # ---------------------------------------------------------------- crop
 
-def test_crop_none_is_identity():
+def test_crop_at_full_fraction_is_identity():
     rng = np.random.default_rng(3)
     img = rng.normal(size=(20, 20))
-    npt.assert_array_equal(crop(img, "none"), img)
+    npt.assert_array_equal(crop(img), img)
+    npt.assert_array_equal(crop(img, 1.0), img)
 
 
 def test_center_fraction_window_and_offset():
     img = np.arange(224 * 224, dtype=np.float64).reshape(224, 224)
-    out = crop(img, "center-fraction", 0.5)
+    out = crop(img, 0.5)
     assert out.shape == (112, 112)
     # offset (224-112)//2 = 56 along both axes
     npt.assert_array_equal(out, img[56:168, 56:168])
@@ -189,7 +190,7 @@ def test_center_fraction_window_and_offset():
 @pytest.mark.parametrize("h,w,f", [(100, 80, 0.35), (17, 33, 0.9), (64, 64, 1.0)])
 def test_center_fraction_against_index_arithmetic(h, w, f):
     img = np.random.default_rng(42).normal(size=(h, w))
-    out = crop(img, "center-fraction", f)
+    out = crop(img, f)
     ch, cw = int(round(f * h)), int(round(f * w))
     y0, x0 = (h - ch) // 2, (w - cw) // 2
     npt.assert_array_equal(out, img[y0:y0 + ch, x0:x0 + cw])
@@ -198,14 +199,12 @@ def test_center_fraction_against_index_arithmetic(h, w, f):
 def test_degenerate_crop_raises():
     img = np.zeros((32, 32))
     with pytest.raises(DegenerateCropError):
-        crop(img, "center-fraction", 0.1)  # 3x3 window
+        crop(img, 0.1)  # 3x3 window
     # 8x8 exactly is the smallest legal window
-    assert crop(img, "center-fraction", 0.25).shape == (8, 8)
-
-
-def test_crop_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        crop(np.zeros((16, 16)), "corner")
+    assert crop(img, 0.25).shape == (8, 8)
+    # the minimum holds at 1.0 too; preprocess never crops below 8 px
+    with pytest.raises(DegenerateCropError):
+        crop(np.zeros((7, 7)))
 
 
 # ---------------------------------------------------------------- clip_normalize
@@ -261,8 +260,7 @@ def test_preprocess_shape_dtype_and_range():
 
 
 def test_preprocess_is_deterministic():
-    cfg = PreprocessConfig(target_size=48, crop_policy="center-fraction",
-                           crop_fraction=0.8)
+    cfg = PreprocessConfig(target_size=48, crop_fraction=0.8)
     vol = ct_like_volume(seed=9)
     a = preprocess(vol, cfg).pixels
     b = preprocess(vol, cfg).pixels
@@ -270,8 +268,7 @@ def test_preprocess_is_deterministic():
 
 
 def test_preprocess_crop_resamples_back_to_target():
-    cfg = PreprocessConfig(target_size=56, crop_policy="center-fraction",
-                           crop_fraction=0.5)
+    cfg = PreprocessConfig(target_size=56, crop_fraction=0.5)
     out = preprocess(ct_like_volume(), cfg)
     assert out.pixels.shape == (56, 56)
 
@@ -299,12 +296,25 @@ def test_preprocess_equals_manual_stage_composition():
     npt.assert_array_equal(out, manual)
 
 
+def test_preprocess_crop_equals_manual_stage_composition():
+    cfg = PreprocessConfig(target_size=40, crop_fraction=0.5, clip_lo=-500.0,
+                           clip_hi=300.0, slice_policy="index", slice_index=3)
+    vol = ct_like_volume(seed=5)
+    out = preprocess(vol, cfg).pixels
+    manual = select_slice(vol, "index", 3)
+    manual = resample(manual, 40)
+    manual = crop(manual, 0.5)
+    assert manual.shape == (20, 20)
+    manual = resample(manual, 40)
+    manual = clip_normalize(manual, -500.0, 300.0).astype(np.float32)
+    npt.assert_array_equal(out, manual)
+
+
 def test_preprocess_provenance_records_config():
-    cfg = PreprocessConfig(target_size=24, crop_policy="center-fraction",
-                           crop_fraction=0.75, slice_policy="max-mean-intensity")
+    cfg = PreprocessConfig(target_size=24, crop_fraction=0.75,
+                           slice_policy="max-mean-intensity")
     out = preprocess(ct_like_volume(), cfg)
     assert out.provenance["target_size"] == 24
-    assert out.provenance["crop_policy"] == "center-fraction"
     assert out.provenance["crop_fraction"] == 0.75
     assert out.provenance["slice_policy"] == "max-mean-intensity"
     assert out.provenance["clip_lo"] == -1000.0
@@ -320,8 +330,7 @@ def test_stage_errors_carry_stage_name():
     with pytest.raises(PreprocessError) as exc:
         preprocess(ct_like_volume(), bad_index)
     assert exc.value.stage == "select_slice"
-    tiny_crop = PreprocessConfig(target_size=16, crop_policy="center-fraction",
-                                 crop_fraction=0.2)  # 3x3 of 16 -> degenerate
+    tiny_crop = PreprocessConfig(target_size=16, crop_fraction=0.2)  # 3x3 of 16 -> degenerate
     with pytest.raises(PreprocessError) as exc:
         preprocess(ct_like_volume(), tiny_crop)
     assert exc.value.stage == "crop"
@@ -330,8 +339,6 @@ def test_stage_errors_carry_stage_name():
 def test_config_validation():
     with pytest.raises(ValueError):
         PreprocessConfig(clip_lo=400.0, clip_hi=-1000.0)
-    with pytest.raises(ValueError):
-        PreprocessConfig(crop_policy="left")
     with pytest.raises(ValueError):
         PreprocessConfig(crop_fraction=0.0)
     with pytest.raises(ValueError):
@@ -344,15 +351,20 @@ def test_config_validation():
         PreprocessConfig(slice_policy="index", slice_index=-1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("clip_lo", -np.inf), ("clip_lo", np.nan), ("clip_hi", np.inf), ("clip_hi", np.nan)])
+def test_config_requires_a_finite_clip_window(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        PreprocessConfig(**{key: value})
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 10), st.integers(9, 40), st.integers(9, 40),
-       st.sampled_from(["none", "center-fraction"]),
        st.floats(0.5, 1.0), st.integers(0, 2**31 - 1))
-def test_pipeline_always_lands_in_unit_box(depth, h, w, policy, frac, seed):
+def test_pipeline_always_lands_in_unit_box(depth, h, w, frac, seed):
     rng = np.random.default_rng(seed)
     vox = rng.integers(-2000, 2000, size=(depth, h, w)).astype(np.int16)
-    cfg = PreprocessConfig(target_size=16, crop_policy=policy,
-                           crop_fraction=frac)
+    cfg = PreprocessConfig(target_size=16, crop_fraction=frac)
     out = preprocess(volume_of(vox), cfg)
     assert out.pixels.shape == (16, 16)
     assert 0.0 <= out.pixels.min() and out.pixels.max() <= 1.0

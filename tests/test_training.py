@@ -574,6 +574,8 @@ def test_metrics_csv_errors_name_the_line(tmp_path):
     dict(checkpoint_every=0),
     dict(stop_accuracy=0.0),
     dict(batch_size=1),
+    dict(lr=float("inf")),
+    dict(lr=float("nan")),
 ])
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
