@@ -19,6 +19,12 @@ arXiv:1706.06873). Its node keeps only that flat padded input, a view of
 the input itself for a 1x1 unpadded conv. The backward scatters a strided
 conv's column gradient back through the same taps.
 
+The ops between the convolutions make few, long passes. Pooling's backward
+works in parity planes of the padded input, where every tap is a shifted
+copy of the window grid, one contiguous pass per tap (see _pool_grad_slab).
+Training batch norm sums with einsum and scales with gamma/sqrt(var+eps)
+folded into one factor. ReLU's backward multiplies g by a float mask.
+
 Default element type is float32; pass ``dtype=np.float64`` when building
 tensors for finite-difference verification.
 """
@@ -255,13 +261,17 @@ def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the gradient at exactly 0 is defined as 0.
 
     The backward rule builds its mask from the input the node already holds,
-    so a forward that records nothing makes only the output.
+    so a forward that records nothing makes only the output. The mask is
+    made as floats and multiplied by g in place, which has the bits of
+    g * (x > 0), -0.0 included, without a float-times-bool multiply.
     """
     xd = x.data
     out = np.maximum(xd, 0)
 
     def rule(g):
-        return (g * (xd > 0),)
+        gx = (xd > 0).astype(g.dtype)
+        gx *= g
+        return (gx,)
 
     return record((x,), out, rule)
 
@@ -442,9 +452,14 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     "global-average": ignores kernel/stride/padding and reduces H, W to 1.
 
     Max and average pooling combine the kernel*kernel strided views (taps) of
-    the padded input elementwise, so no array of windows is built. One backward
-    rule scatters g/(kernel*kernel), or g where a tap holds the first-occurrence
-    argmax (found from the kept input and output), through the taps.
+    the padded input elementwise, so no array of windows is built. The node
+    keeps the input and the output, and no padded copy, mask or index. One
+    backward rule adds g/(kernel*kernel), or g where a tap holds the
+    first-occurrence argmax (found again from the input and the output), at
+    every tap. It works on the stride x stride parity planes of the padded
+    input, in which each tap is the window grid shifted, so each tap is one
+    contiguous pass; taps add in reverse order, which is window raster order
+    at every shared position.
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d: expected 4-D input, got {x.data.shape}")
@@ -475,7 +490,6 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     if h2 < 1 or w2 < 1:
         raise GeometryError(f"pool2d: empty output for input {h}x{w}, kernel {kernel}, stride {stride}")
 
-    hp, wp = h + 2 * padding, w + 2 * padding
     xp = x.data
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
@@ -490,21 +504,93 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
         out /= kernel * kernel
 
     def rule(g):
-        if mode == "max":
-            # first occurrence: the lowest tap equal to the maximum wins
-            first = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
-            for t in reversed(range(len(taps))):
-                np.copyto(first, t, where=xp[taps[t]] == out)
-        else:
-            g = g / (kernel * kernel)
-        gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-        # taps in reverse order add to a shared position in window raster
-        # order, the order a scatter over the windows would use
-        for t in reversed(range(len(taps))):
-            gxp[taps[t]] += g * (first == t) if mode == "max" else g
-        return (gxp[:, :, padding:padding + h, padding:padding + w],)
+        return (_pool_grad(g, mode, x.data, out, kernel, stride, padding),)
 
     return record((x,), out, rule)
+
+
+# elements of the window grid one slab of _pool_grad covers: a slab's planes,
+# masks and gradient rows then stay near a 2 MiB L2 cache
+_POOL_SLAB = 1 << 16
+
+
+def _pool_grad(g, mode, xd, out, k, s, p):
+    # the input gradient of a max or average pool of xd into out, in slabs of
+    # whole (n, c) channels, each done by _pool_grad_slab
+    n, c, h, w = xd.shape
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    slab = max(1, _POOL_SLAB // (hq * wq))
+    gx = np.empty((n * c, h, w), dtype=g.dtype)
+    xd, out, g = (a.reshape(n * c, *a.shape[2:]) for a in (xd, out, g))
+    for lo in range(0, n * c, slab):
+        part = slice(lo, lo + slab)
+        _pool_grad_slab(gx[part], g[part], mode, xd[part], out[part], k, s, p)
+    return gx.reshape(n, c, h, w)
+
+
+def _pool_grad_slab(gx, g, mode, xd, out, k, s, p):
+    # Padded position (Y, X) lies in parity plane (Y % s, X % s) at
+    # (Y // s, X // s), so tap (ky, kx) of window (a, b) lies in plane
+    # (ky % s, kx % s) at (a + ky // s, b + kx // s): in its plane, a tap is
+    # the window grid shifted. Every plane, and the window grid, is laid out
+    # as flat rows of (hq, wq), the grid zero past its h2 x w2 corner, so a
+    # shift is an offset and each tap is one contiguous pass, as in the
+    # stride-1 conv.
+    nc, h, w = xd.shape
+    h2, w2 = g.shape[1:]
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    size = nc * hq * wq
+    # taps[ky*k + kx]: the plane tap (ky, kx) lies in and its offset there
+    taps = [((ky % s) * s + kx % s, ky // s * wq + kx // s) for ky in range(k) for kx in range(k)]
+    # (plane, its part that holds input rows y0::s and columns x0::s, those)
+    planes = []
+    for ry, rx in itertools.product(range(s), repeat=2):
+        a0, b0 = max(0, -((ry - p) // s)), max(0, -((rx - p) // s))
+        y0, x0 = s * a0 + ry - p, s * b0 + rx - p
+        planes.append((ry * s + rx,
+                       (slice(None), slice(a0, a0 + len(range(y0, h, s))),
+                        slice(b0, b0 + len(range(x0, w, s)))),
+                       (slice(None), slice(y0, None, s), slice(x0, None, s))))
+
+    def grid_rows(a):
+        rows = np.zeros((nc, hq, wq), dtype=a.dtype)
+        rows[:, :h2, :w2] = a
+        return rows.reshape(-1)
+
+    def plane_rows(fill):
+        # every plane, then room for the largest shift
+        return np.full((s * s, size + (k - 1) // s * (wq + 1)), fill, dtype=g.dtype)
+
+    gf = grid_rows(g)
+    if mode == "average":
+        gf /= k * k
+        part = gf
+    else:
+        # win[t]: tap t holds its window's maximum and no earlier tap does
+        xq = plane_rows(-np.inf)
+        for r, in_plane, in_x in planes:
+            xq[r, :size].reshape(nc, hq, wq)[in_plane] = xd[in_x]
+        out_f = grid_rows(out)
+        win = np.empty((len(taps), size), dtype=bool)
+        found = np.zeros(size, dtype=bool)
+        for t, (r, off) in enumerate(taps):
+            np.equal(xq[r, off:off + size], out_f, out=win[t])
+            np.greater(win[t], found, out=win[t])
+            found |= win[t]
+        del xq, out_f, found
+        part = np.empty(size, dtype=g.dtype)
+    # taps in reverse order add to a shared position in window raster order,
+    # the order a scatter over the windows would use
+    gq = plane_rows(0)
+    for t in reversed(range(len(taps))):
+        r, off = taps[t]
+        if mode == "max":
+            # a float mask times g: float times bool is the slower multiply
+            np.copyto(part, win[t])
+            part *= gf
+        gq[r, off:off + size] += part
+    for r, in_plane, in_x in planes:
+        gx[in_x] = gq[r, :size].reshape(nc, hq, wq)[in_plane]
 
 
 def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
@@ -545,8 +631,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     s = gamma/sqrt(running_var+eps) and t = beta - running_mean*s. In both
     modes the node keeps only the input, the mean and 1/sqrt(var+eps) of the
     forward (eval mode's copied then, so a later training-mode buffer update
-    cannot change a pending gradient), and the backward rule recomputes
-    x-hat from them with the forward's own operations.
+    cannot change a pending gradient). Training mode sums with einsum, folds
+    gamma/sqrt(var+eps) into one scale, and in backward rebuilds only the
+    centred input x - mean, scaling by 1/sqrt(var+eps) in the per-channel
+    factors. The eval backward recomputes x-hat with the forward's own
+    operations.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: expected 4-D input, got {x.data.shape}")
@@ -564,14 +653,13 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         if m < 2:
             raise DegenerateStatsError(
                 f"batchnorm2d: training mode needs >= 2 elements per channel, got {m}")
-        mean = x3.mean(axis=(0, 2))
+        mean = np.einsum("ncm->c", x3) / m
         out = x3 - mean[:, None]
         var = np.einsum("ncm,ncm->c", out, out) / m
         running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * (var * m / (m - 1))
         inv = 1.0 / np.sqrt(var + eps)
-        out *= inv[:, None]
-        out *= gamma.data[:, None]
+        out *= (gamma.data * inv)[:, None]
         out += beta.data[:, None]
     else:
         mean = running_mean.data.copy()
@@ -582,19 +670,27 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def rule(g):
         g3 = g.reshape(n, c, h * w)
-        xh = x3 - mean[:, None]
-        xh *= inv[:, None]
-        sum_g = g3.sum(axis=(0, 2))                   # dbeta
-        sum_gx = np.einsum("ncm,ncm->c", g3, xh)      # dgamma
+        scale = gamma.data * inv
+        if training:
+            xc = x3 - mean[:, None]
+            sum_g = np.einsum("ncm->c", g3)                      # dbeta
+            sum_gx = np.einsum("ncm,ncm->c", g3, xc) * inv       # dgamma
+        else:
+            # eval mode: x-hat with the forward's own operations, bit for bit
+            xh = x3 - mean[:, None]
+            xh *= inv[:, None]
+            sum_g = g3.sum(axis=(0, 2))
+            sum_gx = np.einsum("ncm,ncm->c", g3, xh)
         dx = None
         if x.requires_grad:
-            scale = gamma.data * inv
-            dx = g3 * scale[:, None]
             if training:
-                # dx = gamma*inv/m * (m*g - sum(g) - xhat*sum(g*xhat))
-                xh *= (scale * sum_gx / m)[:, None]
-                dx -= xh
-                dx -= (scale * sum_g / m)[:, None]
+                # dx = gamma*inv * (g - sum(g)/m - xhat*sum(g*xhat)/m), xhat = xc*inv
+                xc *= (inv * sum_gx / m)[:, None]
+                xc += (sum_g / m)[:, None]
+                dx = np.subtract(g3, xc, out=xc)
+                dx *= scale[:, None]
+            else:
+                dx = g3 * scale[:, None]
             dx = dx.reshape(n, c, h, w)
         return (dx, sum_gx if gamma.requires_grad else None, sum_g if beta.requires_grad else None)
 

@@ -394,6 +394,42 @@ def test_avgpool_gradient_matches_window_loop_bit_for_bit(stride, padding):
     npt.assert_array_equal(xt.grad, avgpool_grad_ref(g, xt.shape, 3, stride, padding))
 
 
+@given(data=st.data(), kernel=st.integers(1, 4), stride=st.integers(1, 3),
+       dtype=st.sampled_from([np.float32, np.float64]), one_channel_slabs=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_pool_gradients_match_window_loops_bit_for_bit(data, kernel, stride, dtype,
+                                                       one_channel_slabs):
+    # inputs from five values, signed zeros among them, so most windows hold
+    # ties; overlapping windows (stride < kernel) send several gradients to
+    # one position, summed in window raster order; one-channel slabs run the
+    # rule once per (n, c) channel instead of once for the whole input
+    padding = data.draw(st.integers(0, kernel // 2), label="padding")
+    h = data.draw(st.integers(max(1, kernel - 2 * padding), kernel + 6), label="h")
+    w = data.draw(st.integers(max(1, kernel - 2 * padding), kernel + 6), label="w")
+    n, c = data.draw(st.integers(1, 2), label="n"), data.draw(st.integers(1, 3), label="c")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.0], dtype=dtype), size=(n, c, h, w))
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    with pytest.MonkeyPatch.context() as mp:
+        if one_channel_slabs:
+            mp.setattr(T, "_POOL_SLAB", 1)
+        for mode in ("max", "average"):
+            xt = Tensor(x, requires_grad=True, dtype=dtype)
+            out = pool2d(xt, mode, kernel=kernel, stride=stride, padding=padding)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            g[rng.random(g.shape) < 0.2] = -0.0
+            (out * Tensor(g, dtype=dtype)).sum().backward()
+            if mode == "max":
+                npt.assert_array_equal(out.data, maxpool_ref(x, kernel, stride, padding))
+                want = maxpool_grad_ref(x, g, kernel, stride, padding)
+            else:
+                want = avgpool_grad_ref(g, x.shape, kernel, stride, padding)
+            assert xt.grad.dtype == dtype
+            npt.assert_array_equal(xt.grad, want)
+            npt.assert_array_equal(xt.grad.view(uint), np.ascontiguousarray(want).view(uint))
+
+
 def test_relu_and_max_pool_retain_no_mask_or_index():
     # both rules rebuild their mask or argmax from the input the node holds
     x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True,
@@ -402,6 +438,18 @@ def test_relu_and_max_pool_retain_no_mask_or_index():
         kept = [cell.cell_contents for cell in out.node.backward_rule.__closure__
                 if isinstance(cell.cell_contents, np.ndarray)]
         assert kept and all(a.dtype == np.float32 for a in kept)
+
+
+def test_max_pool_keeps_no_padded_copy_of_its_input():
+    # the rule finds the argmax again from the input and the output; the
+    # -inf padded copy the forward pools over is not kept
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True,
+               dtype=np.float32)
+    out = pool2d(x, "max", kernel=3, stride=2, padding=1)
+    cells = [cell.cell_contents for cell in out.node.backward_rule.__closure__]
+    kept = [v.data if isinstance(v, Tensor) else v for v in cells
+            if isinstance(v, (Tensor, np.ndarray))]
+    assert kept and all(a is out.data or np.shares_memory(a, x.data) for a in kept)
 
 
 @pytest.mark.parametrize("training", [True, False])
@@ -467,6 +515,20 @@ def test_relu_forward_and_zero_subgradient():
     npt.assert_array_equal(out.data, [0.0, 0.0, 2.0])
     out.sum().backward()
     npt.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
+def test_relu_gradient_has_the_bits_of_g_times_the_positive_mask():
+    # the gradient is g where x > 0 and a zero with g's sign elsewhere, also
+    # at +-0, denormals and +-inf
+    tiny = np.finfo(np.float32).smallest_subnormal
+    xd = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.inf, -np.inf, 1.5, -2.5, 7.0],
+                  dtype=np.float32)
+    g = np.array([-1.25, 2.0, -3.0, -4.0, tiny, -0.5, -6.0, -0.0, -7.0, -tiny],
+                 dtype=np.float32)
+    x = Tensor(xd, requires_grad=True)
+    (relu(x) * Tensor(g)).sum().backward()
+    npt.assert_array_equal(x.grad.view(np.uint32), (g * (xd > 0)).view(np.uint32))
+    assert np.signbit(x.grad[[0, 3, 6, 7, 8]]).all()   # -0.0 where x <= 0 < -g, and g's own -0.0
 
 
 def test_sigmoid_extreme_inputs_no_overflow():
@@ -684,7 +746,8 @@ def batchnorm_train_ref(x, gamma, beta, g, eps):
     return out, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes), mu, var * m / (m - 1)
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 1, 1), (2, 4, 3, 3), (3, 2, 3, 3)])
+@pytest.mark.parametrize("shape", [(2, 3, 1, 1), (2, 4, 3, 3), (3, 2, 3, 3),
+                                   (8, 16, 32, 32), (2, 64, 24, 24)])
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 2e-4)])
 def test_batchnorm_training_matches_textbook_formula(shape, dtype, tol):
     rng = np.random.default_rng(shape[0] * 10 + shape[2])
@@ -733,6 +796,34 @@ def test_batchnorm_eval_matches_textbook_formula(shape):
         npt.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(ref).max()))
     npt.assert_array_equal(rm.data, rmd.astype(np.float32))   # eval never touches the buffers
     npt.assert_array_equal(rv.data, rvd.astype(np.float32))
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 1, 1), (3, 2, 5, 4), (8, 16, 32, 32)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_eval_output_and_gradients_keep_their_bits(shape, dtype):
+    # eval mode is the affine map x3*scale + (beta - mean*scale), and its
+    # gradients g3*scale, sum(g3 * (x3 - mean)*inv) and g3.sum(axis=(0, 2)),
+    # each with exactly these numpy operations
+    rng = np.random.default_rng(shape[1] * 10 + shape[3])
+    n, c, h, w = shape
+    x = Tensor(rng.standard_normal(shape) * 3 + 1.5, requires_grad=True, dtype=dtype)
+    gamma = Tensor(rng.uniform(0.5, 2, c), requires_grad=True, dtype=dtype)
+    beta = Tensor(rng.standard_normal(c), requires_grad=True, dtype=dtype)
+    rm, rv = Tensor(rng.standard_normal(c), dtype=dtype), Tensor(rng.uniform(0.2, 3.0, c), dtype=dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    out = batchnorm2d(x, gamma, beta, rm, rv, training=False)
+    (out * Tensor(g, dtype=dtype)).sum().backward()
+
+    x3, g3 = x.data.reshape(n, c, h * w), g.reshape(n, c, h * w)
+    inv = 1.0 / np.sqrt(rv.data + 1e-5)
+    scale = gamma.data * inv
+    xh = (x3 - rm.data[:, None]) * inv[:, None]
+    for got, want in ((out.data, (x3 * scale[:, None] + (beta.data - rm.data * scale)[:, None])),
+                      (x.grad, g3 * scale[:, None]),
+                      (gamma.grad, np.einsum("ncm,ncm->c", g3, xh)),
+                      (beta.grad, g3.sum(axis=(0, 2)))):
+        assert got.dtype == dtype
+        npt.assert_array_equal(got, want.reshape(got.shape))
 
 
 def test_batchnorm_eval_gradient_ignores_a_later_buffer_update():
