@@ -21,7 +21,7 @@ conv's column gradient back through the same taps.
 
 The ops between the convolutions make few, long passes. Pooling's backward
 works in parity planes of the padded input, where every tap is a shifted
-copy of the window grid, one contiguous pass per tap (see _pool_grad_slab).
+copy of the window grid, one contiguous pass per tap (see _pool_grad).
 Training batch norm sums with einsum and scales with gamma/sqrt(var+eps)
 folded into one factor. ReLU's backward multiplies g by a float mask.
 
@@ -509,35 +509,19 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     return record((x,), out, rule)
 
 
-# elements of the window grid one slab of _pool_grad covers: a slab's planes,
-# masks and gradient rows then stay near a 2 MiB L2 cache
-_POOL_SLAB = 1 << 16
-
-
 def _pool_grad(g, mode, xd, out, k, s, p):
-    # the input gradient of a max or average pool of xd into out, in slabs of
-    # whole (n, c) channels, each done by _pool_grad_slab
-    n, c, h, w = xd.shape
-    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
-    slab = max(1, _POOL_SLAB // (hq * wq))
-    gx = np.empty((n * c, h, w), dtype=g.dtype)
-    xd, out, g = (a.reshape(n * c, *a.shape[2:]) for a in (xd, out, g))
-    for lo in range(0, n * c, slab):
-        part = slice(lo, lo + slab)
-        _pool_grad_slab(gx[part], g[part], mode, xd[part], out[part], k, s, p)
-    return gx.reshape(n, c, h, w)
-
-
-def _pool_grad_slab(gx, g, mode, xd, out, k, s, p):
-    # Padded position (Y, X) lies in parity plane (Y % s, X % s) at
-    # (Y // s, X // s), so tap (ky, kx) of window (a, b) lies in plane
-    # (ky % s, kx % s) at (a + ky // s, b + kx // s): in its plane, a tap is
-    # the window grid shifted. Every plane, and the window grid, is laid out
-    # as flat rows of (hq, wq), the grid zero past its h2 x w2 corner, so a
+    # The input gradient of a max or average pool of xd into out. Padded
+    # position (Y, X) lies in parity plane (Y % s, X % s) at (Y // s, X // s),
+    # so tap (ky, kx) of window (a, b) lies in plane (ky % s, kx % s) at
+    # (a + ky // s, b + kx // s): in its plane, a tap is the window grid
+    # shifted. Every plane, and the window grid, is laid out as flat rows of
+    # (hq, wq) per (n, c) channel, the grid zero past its h2 x w2 corner, so a
     # shift is an offset and each tap is one contiguous pass, as in the
     # stride-1 conv.
-    nc, h, w = xd.shape
-    h2, w2 = g.shape[1:]
+    n, c, h, w = xd.shape
+    h2, w2 = g.shape[2:]
+    nc = n * c
+    xd, out, g = (a.reshape(nc, *a.shape[2:]) for a in (xd, out, g))
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     size = nc * hq * wq
     # taps[ky*k + kx]: the plane tap (ky, kx) lies in and its offset there
@@ -589,8 +573,10 @@ def _pool_grad_slab(gx, g, mode, xd, out, k, s, p):
             np.copyto(part, win[t])
             part *= gf
         gq[r, off:off + size] += part
+    gx = np.empty((nc, h, w), dtype=g.dtype)
     for r, in_plane, in_x in planes:
         gx[in_x] = gq[r, :size].reshape(nc, hq, wq)[in_plane]
+    return gx.reshape(n, c, h, w)
 
 
 def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
@@ -631,11 +617,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     s = gamma/sqrt(running_var+eps) and t = beta - running_mean*s. In both
     modes the node keeps only the input, the mean and 1/sqrt(var+eps) of the
     forward (eval mode's copied then, so a later training-mode buffer update
-    cannot change a pending gradient). Training mode sums with einsum, folds
-    gamma/sqrt(var+eps) into one scale, and in backward rebuilds only the
-    centred input x - mean, scaling by 1/sqrt(var+eps) in the per-channel
-    factors. The eval backward recomputes x-hat with the forward's own
-    operations.
+    cannot change a pending gradient). Training mode sums with einsum and
+    folds gamma/sqrt(var+eps) into one scale. The backward of both modes
+    rebuilds only the centred input x - mean, sums with einsum, and scales by
+    1/sqrt(var+eps) in the per-channel factors; only dx differs by mode.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: expected 4-D input, got {x.data.shape}")
@@ -671,16 +656,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     def rule(g):
         g3 = g.reshape(n, c, h * w)
         scale = gamma.data * inv
-        if training:
-            xc = x3 - mean[:, None]
-            sum_g = np.einsum("ncm->c", g3)                      # dbeta
-            sum_gx = np.einsum("ncm,ncm->c", g3, xc) * inv       # dgamma
-        else:
-            # eval mode: x-hat with the forward's own operations, bit for bit
-            xh = x3 - mean[:, None]
-            xh *= inv[:, None]
-            sum_g = g3.sum(axis=(0, 2))
-            sum_gx = np.einsum("ncm,ncm->c", g3, xh)
+        xc = x3 - mean[:, None]
+        sum_g = np.einsum("ncm->c", g3)                      # dbeta
+        sum_gx = np.einsum("ncm,ncm->c", g3, xc) * inv       # dgamma
         dx = None
         if x.requires_grad:
             if training:
