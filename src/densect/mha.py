@@ -7,6 +7,13 @@ says otherwise; a ``CompressedData = True`` payload is a single zlib/DEFLATE
 stream. Voxels are stored x-fastest; in memory they are kept in the reversed
 (…, z, y, x) C-order layout so ``voxels[k]`` is an axial slice of a 3-D scan.
 
+Reading copies each voxel byte once. The header is parsed from a prefix read,
+grown until the ElementDataFile line turns up; then the native-order voxel
+array is allocated, a raw payload is read straight into it (byteswapped in
+place when stored big-endian), and a zlib payload is inflated chunk by chunk,
+each piece copied into it, never past the size the header gives. ``read_mha`` (bytes)
+and ``read_mha_file`` (a path) share this one decoder over a binary stream.
+
 Parsing is total: any byte input produces either a Volume or one of the
 structured errors below — never an unhandled crash. Only the single-file
 ``ElementDataFile = LOCAL`` variant is supported; external .raw references
@@ -16,6 +23,7 @@ are rejected explicitly.
 from __future__ import annotations
 
 import copy
+import io
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -41,6 +49,8 @@ _CONSUMED_KEYS = frozenset({"ObjectType", "NDims", "DimSize", "ElementType", "El
 _MAX_NDIMS = 16
 _MAX_HEADER_FIELDS = 256  # header fields before ElementDataFile, read or written
 _MAX_VOXEL_BYTES = 1 << 33  # refuse to allocate more than 8 GiB from a header
+_HEADER_READ = 4096  # first header read in bytes; grown until ElementDataFile is found
+_INFLATE_CHUNK = 1 << 18  # compressed bytes handed to zlib per read
 
 
 class MhaError(ValueError):
@@ -166,13 +176,13 @@ def _parse_line(text: str) -> tuple[str, str]:
 
 def _split_header(data: bytes):
     """Parse (key, value) pairs up to the ElementDataFile line; return them
-    with a memoryview of the payload that follows (no copy)."""
+    with the payload's offset in ``data``, or None if ``data`` ends first."""
     fields: dict[str, str] = {}
     pos = 0
     while True:
         nl = data.find(b"\n", pos)
         if nl < 0:
-            raise MalformedHeaderError("header ended without an ElementDataFile line")
+            return None
         line = data[pos:nl]
         pos = nl + 1
         if line.endswith(b"\r"):
@@ -187,22 +197,27 @@ def _split_header(data: bytes):
             raise MalformedHeaderError(f"duplicate header key {key!r}")
         fields[key] = value
         if key == "ElementDataFile":
-            return fields, memoryview(data)[pos:]
+            return fields, pos
         if len(fields) > _MAX_HEADER_FIELDS:
             raise MalformedHeaderError(
                 f"more than {_MAX_HEADER_FIELDS} header fields before ElementDataFile")
 
 
-def read_mha(data: bytes) -> Volume:
-    """Decode one .mha byte buffer into a Volume.
+def _read_header(f):
+    """Parse the header at the start of binary stream ``f`` from a prefix
+    read, grown until the ElementDataFile line or the end of the stream."""
+    data = f.read(_HEADER_READ)
+    while (parsed := _split_header(data)) is None:
+        more = f.read(len(data))  # doubles the prefix; b"" at the end
+        if not more:
+            raise MalformedHeaderError("header ended without an ElementDataFile line")
+        data += more
+    return parsed
 
-    Raises MalformedHeaderError / UnsupportedTypeError / UnsupportedVariantError /
-    TruncatedPayloadError; see module docstring for the accepted grammar.
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError(f"read_mha expects bytes, got {type(data).__name__}")
-    fields, payload = _split_header(bytes(data))
 
+def _parse_fields(fields: dict[str, str]) -> tuple[MhaHeader, np.dtype]:
+    """Validate the header fields; return the header and the payload's dtype
+    (byte order as stored)."""
     for required in ("ObjectType", "NDims", "DimSize", "ElementType"):
         if required not in fields:
             raise MalformedHeaderError(f"missing required header key {required!r}")
@@ -238,34 +253,76 @@ def read_mha(data: bytes) -> Volume:
 
     big_endian = ("BinaryDataByteOrderMSB" in fields
                   and _parse_bool(fields["BinaryDataByteOrderMSB"], "BinaryDataByteOrderMSB"))
-    base = ELEMENT_TYPES[header.element_type]
-    itemsize = int(base[1])
+    return header, np.dtype((">" if big_endian else "<") + ELEMENT_TYPES[header.element_type])
+
+
+def _inflate_into(f, out: memoryview) -> int:
+    """Inflate the zlib stream read from ``f`` into ``out``. Input goes to zlib
+    in bounded chunks, and no call may inflate past the space left in ``out``,
+    so an over-long stream never inflates past the header's size."""
+    dec = zlib.decompressobj()
+    chunk = memoryview(bytearray(_INFLATE_CHUNK))
+    filled = 0
+    while filled < len(out) and not dec.eof and (n := f.readinto(chunk)):
+        pending = chunk[:n]
+        while pending and filled < len(out):
+            try:
+                part = dec.decompress(pending, len(out) - filled)
+            except zlib.error as e:
+                raise TruncatedPayloadError(f"compressed payload does not inflate: {e}") from None
+            out[filled:filled + len(part)] = part
+            filled += len(part)
+            pending = dec.unconsumed_tail
+    return filled
+
+
+def _read(f) -> Volume:
+    """Decode the .mha held in seekable binary stream ``f``. Voxel bytes go
+    from the stream straight into the native-order array: one copy."""
+    fields, start = _read_header(f)
+    header, stored = _parse_fields(fields)
     count = header.voxel_count()
-    expected = count * itemsize
+    expected = count * stored.itemsize
     if expected > _MAX_VOXEL_BYTES:
         raise MalformedHeaderError(
             f"DimSize {header.dim_size} implies a {expected}-byte payload "
             f"(limit {_MAX_VOXEL_BYTES})")
+    if not header.compressed:
+        length = f.seek(0, io.SEEK_END) - start
+        if length < expected:
+            raise TruncatedPayloadError(f"payload is {length} bytes, expected {expected}")
+    try:
+        voxels = np.empty(count, dtype=stored.newbyteorder("="))
+    except MemoryError:
+        raise MalformedHeaderError(
+            f"DimSize {header.dim_size} implies a {expected}-byte payload, "
+            "more than can be allocated") from None
 
+    out = memoryview(voxels).cast("B")
+    f.seek(start)
     if header.compressed:
-        dec = zlib.decompressobj()
-        try:
-            raw = dec.decompress(payload, expected)
-        except zlib.error as e:
-            raise TruncatedPayloadError(f"compressed payload does not inflate: {e}") from None
-        if len(raw) < expected:
+        filled = _inflate_into(f, out)
+        if filled < expected:
             raise TruncatedPayloadError(
-                f"compressed payload inflates to {len(raw)} bytes, expected {expected}")
+                f"compressed payload inflates to {filled} bytes, expected {expected}")
     else:
-        if len(payload) < expected:
-            raise TruncatedPayloadError(
-                f"payload is {len(payload)} bytes, expected {expected}")
-        raw = payload[:expected]
-
-    dtype = np.dtype((">" if big_endian else "<") + base)
-    voxels = np.frombuffer(raw, dtype=dtype, count=count)
-    voxels = voxels.astype(voxels.dtype.newbyteorder("="))  # native order + writable copy
+        filled = f.readinto(out)
+        if filled < expected:  # the file shrank since its length was taken
+            raise TruncatedPayloadError(f"payload is {filled} bytes, expected {expected}")
+    if not stored.isnative:
+        voxels.byteswap(inplace=True)
     return Volume(header=header, voxels=voxels.reshape(header.dim_size[::-1]))
+
+
+def read_mha(data: bytes) -> Volume:
+    """Decode one .mha byte buffer into a Volume.
+
+    Raises MalformedHeaderError / UnsupportedTypeError / UnsupportedVariantError /
+    TruncatedPayloadError; see module docstring for the accepted grammar.
+    """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise TypeError(f"read_mha expects bytes, got {type(data).__name__}")
+    return _read(io.BytesIO(bytes(data)))
 
 
 def _fmt_floats(vals) -> str:
@@ -320,8 +377,10 @@ def write_mha(volume: Volume, compress: bool = False) -> bytes:
 
 
 def read_mha_file(path: str) -> Volume:
+    """Decode the .mha file at ``path``; the same result and errors as
+    ``read_mha`` on its bytes."""
     with open(path, "rb") as f:
-        return read_mha(f.read())
+        return _read(f)
 
 
 def write_mha_file(path: str, volume: Volume, compress: bool = False):
@@ -335,20 +394,30 @@ def _rescale_value(raw: dict, key: str, default: float) -> float:
     values = _parse_floats(raw[key], key)
     if len(values) != 1:
         raise MalformedHeaderError(f"{key}: expected one number, got {raw[key]!r}")
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.float32(values[0]))
+    if not finite:
+        raise MalformedHeaderError(f"{key}: {raw[key]!r} is not finite as float32")
     return values[0]
 
 
 def to_hounsfield(volume: Volume) -> Volume:
     """Float32 copy of the volume, applying RescaleSlope/RescaleIntercept if
-    present; each must hold exactly one finite number."""
+    present; each must hold exactly one number that is finite as float32.
+
+    The cast is fused into the first float32 operation of vox*slope + intercept,
+    so the output is written in one pass, or two when there is a slope.
+    """
     raw = volume.header.raw_fields
     slope = _rescale_value(raw, "RescaleSlope", 1.0)
     intercept = _rescale_value(raw, "RescaleIntercept", 0.0)
-    vox = volume.voxels.astype(np.float32)
-    if slope != 1.0 or intercept != 0.0:
-        # in place on the copy: the float32 operations of vox*slope + intercept
-        vox *= np.float32(slope)
-        vox += np.float32(intercept)
+    if slope != 1.0:
+        vox = np.multiply(volume.voxels, np.float32(slope), dtype=np.float32)
+        vox += np.float32(intercept)  # even when 0: x*s + 0.0 turns -0.0 into +0.0
+    elif intercept != 0.0:
+        vox = np.add(volume.voxels, np.float32(intercept), dtype=np.float32)
+    else:
+        vox = volume.voxels.astype(np.float32)  # no +0.0 here: -0.0 voxels stay -0.0
     header = copy.deepcopy(volume.header)
     header.element_type = "MET_FLOAT"
     header.raw_fields.pop("RescaleSlope", None)

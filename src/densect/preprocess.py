@@ -67,7 +67,7 @@ class ProcessedImage:
 
 
 def select_slice(volume: Volume, policy: str = "middle-axial", index: int = 0) -> np.ndarray:
-    """Pick one axial (y, x) slice from a 3-D volume."""
+    """Pick one axial (y, x) slice from a 3-D volume; every pixel must be finite."""
     vox = volume.voxels
     if vox.ndim != 3:
         raise ValueError(f"select_slice expects a 3-D volume, got {vox.ndim}-D")
@@ -75,15 +75,21 @@ def select_slice(volume: Volume, policy: str = "middle-axial", index: int = 0) -
     if depth < 1:
         raise ValueError("select_slice: volume has zero depth")
     if policy == "middle-axial":
-        return np.array(vox[depth // 2], dtype=np.float64)
-    if policy == "index":
+        k = depth // 2
+    elif policy == "index":
         if not 0 <= index < depth:
             raise IndexError(f"slice index {index} out of range for depth {depth}")
-        return np.array(vox[index], dtype=np.float64)
-    if policy == "max-mean-intensity":
-        means = vox.reshape(depth, -1).mean(axis=1)
-        return np.array(vox[int(np.argmax(means))], dtype=np.float64)
-    raise ValueError(f"unknown slice policy {policy!r}")
+        k = index
+    elif policy == "max-mean-intensity":
+        k = int(np.argmax(vox.reshape(depth, -1).mean(axis=1)))
+    else:
+        raise ValueError(f"unknown slice policy {policy!r}")
+    image = np.array(vox[k], dtype=np.float64)
+    finite = np.isfinite(image)
+    if not finite.all():
+        y, x = np.argwhere(~finite)[0]
+        raise ValueError(f"slice {k} holds a non-finite value {image[y, x]} at (y, x) = ({y}, {x})")
+    return image
 
 
 def resample(image: np.ndarray, target: int) -> np.ndarray:

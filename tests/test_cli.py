@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
-from densect.mha import read_mha_file, write_mha_file
+from densect.mha import Volume, read_mha_file, write_mha_file
 from densect.model import (DENSENET121, REDUCED, DenseNetModel, checkpoint_bytes,
                            feature_map_plan, model_from_checkpoint_bytes)
 from densect.training import TrainConfig, metrics_from_csv
@@ -367,15 +367,29 @@ def test_predict_missing_volume_is_data_error(trained, capsys):
     assert code == 2
 
 
-def test_predict_with_an_empty_rescale_slope_is_data_error(dataset, trained, tmp_path, capsys):
+@pytest.mark.parametrize("fault, message", [
+    ("empty-slope", "RescaleSlope"),
+    ("float32-overflowing-slope", "RescaleSlope: '1e39' is not finite as float32"),
+    ("nan-voxel", "select_slice: slice 2 holds a non-finite value nan at (y, x) = (5, 7)"),
+])
+def test_predict_on_a_volume_that_would_score_nan_is_data_error(fault, message, dataset, trained,
+                                                                tmp_path, capsys):
     vol = read_mha_file(str(dataset / "data" / "synth001.mha"))
-    vol.header.raw_fields["RescaleSlope"] = ""
-    path = tmp_path / "blank_slope.mha"
+    if fault == "empty-slope":
+        vol.header.raw_fields["RescaleSlope"] = ""
+    elif fault == "float32-overflowing-slope":
+        vol.header.raw_fields["RescaleSlope"] = "1e39"
+    else:
+        voxels = vol.voxels.astype(np.float32)
+        voxels[2, 5, 7] = np.nan
+        vol = Volume(header=vol.header, voxels=voxels)
+        vol.header.element_type = "MET_FLOAT"
+    path = tmp_path / f"{fault}.mha"
     write_mha_file(str(path), vol)
-    code, _, err = run_cli(capsys, "predict", "--input", str(path),
-                           "--checkpoint", str(trained / "final.ckpt"))
+    code, out, err = run_cli(capsys, "predict", "--input", str(path),
+                             "--checkpoint", str(trained / "final.ckpt"))
     assert code == 2
-    assert "RescaleSlope" in err
+    assert message in err and "prob_covid" not in out
 
 
 def test_train_batch_size_one_is_usage_error_before_any_artifact(dataset, tmp_path, capsys):

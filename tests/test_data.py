@@ -309,15 +309,16 @@ def test_item_error_on_corrupt_volume(tmp_path):
         load_study_image(rec, CFG16)
 
 
-def test_item_error_on_empty_rescale_slope(small_dataset, tmp_path):
+@pytest.mark.parametrize("slope", ["", "1e39"], ids=["empty", "float32-overflow"])
+def test_item_error_on_an_unusable_rescale_slope(slope, small_dataset, tmp_path):
     vol = read_mha_file(small_dataset[0].volume_path)
-    vol.header.raw_fields["RescaleSlope"] = ""
-    path = tmp_path / "blank_slope.mha"
+    vol.header.raw_fields["RescaleSlope"] = slope
+    path = tmp_path / "bad_slope.mha"
     write_mha_file(str(path), vol)
-    rec = StudyRecord("blank-slope", str(path), 0, 0)
+    rec = StudyRecord("bad-slope", str(path), 0, 0)
     with pytest.raises(ItemError, match="RescaleSlope") as exc:
         list(batches([rec], 1, CFG16))
-    assert exc.value.patient_id == "blank-slope"
+    assert exc.value.patient_id == "bad-slope"
 
 
 def test_item_error_on_degenerate_preprocess(small_dataset):

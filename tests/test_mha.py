@@ -6,6 +6,7 @@ pinned independently of the writer) and on mutated/hostile inputs, where the
 contract is: a Volume or an MhaError, never anything else.
 """
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from densect.mha import (
     _CONSUMED_KEYS,
+    _DTYPE_TO_ELEMENT,
+    _HEADER_READ,
     _MAX_HEADER_FIELDS,
     ELEMENT_TYPES,
     MalformedHeaderError,
@@ -26,6 +29,7 @@ from densect.mha import (
     UnsupportedVariantError,
     Volume,
     read_mha,
+    read_mha_file,
     to_hounsfield,
     write_mha,
 )
@@ -309,6 +313,140 @@ def test_round_trip_property(seed):
 
 
 # ---------------------------------------------------------------------------
+# file reader: read_mha_file(path) is read_mha(bytes of path)
+
+
+def _stored(arr, compress=False, msb=False, extra_fields=0):
+    """``arr`` as .mha bytes, its payload little- or big-endian, raw or zlib,
+    with ``extra_fields`` padding lines of 63 bytes in the header."""
+    header = (f"ObjectType = Image\nNDims = {arr.ndim}\n"
+              f"DimSize = {' '.join(str(d) for d in arr.shape[::-1])}\n"
+              f"ElementType = {_DTYPE_TO_ELEMENT[arr.dtype]}\n"
+              + "".join(f"Tag{i:03d} = {'x' * 53}\n" for i in range(extra_fields))
+              + ("BinaryDataByteOrderMSB = True\n" if msb else "")
+              + ("CompressedData = True\n" if compress else "")
+              + "ElementDataFile = LOCAL\n").encode("ascii")
+    payload = arr.astype(arr.dtype.newbyteorder(">" if msb else "<")).tobytes()
+    return header + (zlib.compress(payload) if compress else payload)
+
+
+def _outcome(read, source):
+    """What a reader makes of ``source``: the volume's bits, or the error."""
+    try:
+        vol = read(source)
+    except MhaError as e:
+        return type(e), str(e)
+    v = vol.voxels
+    return (v.dtype.str, v.dtype.isnative, v.flags.writeable, v.shape, v.tobytes(),
+            repr(vol.header))
+
+
+def _both_readers(tmp_path, data):
+    path = tmp_path / "volume.mha"
+    path.write_bytes(data)
+    return _outcome(read_mha, data), _outcome(read_mha_file, str(path))
+
+
+def _awkward_voxels(element_type, rng, shape=(3, 5, 4)):
+    base = ELEMENT_TYPES[element_type]
+    bits = rng.integers(0, 256, size=int(np.prod(shape)) * np.dtype(base).itemsize, dtype=np.uint8)
+    arr = bits.view(base).reshape(shape).copy()   # every bit pattern, NaN payloads included
+    if base.startswith("f"):
+        arr.flat[:4] = [-0.0, np.inf, -np.inf, np.nan]
+    return arr
+
+
+@pytest.mark.parametrize("extra_fields", [0, 3 * _HEADER_READ // 64], ids=["short", "long-header"])
+@pytest.mark.parametrize("compress", [False, True], ids=["raw", "zlib"])
+@pytest.mark.parametrize("msb", [False, True], ids=["lsb", "msb"])
+@pytest.mark.parametrize("element_type", sorted(ELEMENT_TYPES))
+def test_read_mha_file_equals_read_mha(tmp_path, element_type, msb, compress, extra_fields):
+    arr = _awkward_voxels(element_type, np.random.default_rng(len(element_type) + 2 * msb))
+    data = _stored(arr, compress, msb, extra_fields)
+    if extra_fields:
+        assert data.index(b"ElementDataFile") > 2 * _HEADER_READ
+    from_bytes, from_file = _both_readers(tmp_path, data)
+    assert from_bytes == from_file
+    dtype, native, writeable, shape, bits, _ = from_file
+    assert native and writeable and shape == arr.shape
+    assert np.dtype(dtype) == np.dtype(ELEMENT_TYPES[element_type])
+    assert bits == arr.astype(np.dtype(dtype)).tobytes()
+
+
+_VALID = _stored(np.arange(24, dtype=np.int16).reshape(2, 3, 4))
+_VALID_ZLIB = _stored(np.arange(24, dtype=np.int16).reshape(2, 3, 4), compress=True)
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (_VALID[:-1], TruncatedPayloadError, "payload is 47 bytes, expected 48"),
+    (_VALID[:_VALID.index(b"LOCAL\n") + 6], TruncatedPayloadError, "payload is 0 bytes"),
+    (_VALID[:_VALID.index(b"LOCAL\n") + 5], MalformedHeaderError, "without an ElementDataFile"),
+    (_VALID_ZLIB.replace(b"DimSize = 4 3 2", b"DimSize = 4 3 3"), TruncatedPayloadError,
+     "inflates to 48 bytes, expected 72"),
+    (_VALID_ZLIB[:-9], TruncatedPayloadError, "inflates to"),
+    (_VALID_ZLIB[:-4] + b"\0\0\0\0", TruncatedPayloadError, "does not inflate"),
+    (b"", MalformedHeaderError, "without an ElementDataFile"),
+    (b"\xff" * (3 * _HEADER_READ) + b"\n", MalformedHeaderError, "non-ASCII"),
+    (b"Key = value\n" * (_MAX_HEADER_FIELDS + 1), MalformedHeaderError, "duplicate"),
+    (b"".join(b"K%d = v\n" % i for i in range(_MAX_HEADER_FIELDS + 1)), MalformedHeaderError,
+     "more than"),
+    (_VALID.replace(b"MET_SHORT", b"MET_LONG"), UnsupportedTypeError, "MET_LONG"),
+], ids=["raw-short-by-one", "raw-empty", "no-terminator", "zlib-short", "zlib-cut", "zlib-bad-check",
+        "empty", "long-non-ascii", "duplicate", "too-many-fields", "type"])
+def test_read_mha_file_fails_as_read_mha(tmp_path, data, error, message):
+    from_bytes, from_file = _both_readers(tmp_path, data)
+    assert from_bytes == from_file
+    assert from_file[0] is error and message in from_file[1]
+
+
+_FUZZ_BASES = [_stored(_awkward_voxels(e, np.random.default_rng(i), shape=(2, 3, 2)), compress, msb)
+               for i, e in enumerate(sorted(ELEMENT_TYPES)) for compress in (False, True)
+               for msb in (False, True)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(st.sampled_from(_FUZZ_BASES), st.integers(0, 1 << 10),
+       st.lists(st.tuples(st.integers(0, 1 << 10), st.integers(0, 255)), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_readers_agree_on_truncated_and_mutated_files(fuzz_dir, base, cut, flips):
+    data = bytearray(base)
+    for pos, value in flips:
+        data[pos % len(data)] = value
+    data = bytes(data[:cut % (len(data) + 1)])
+    from_bytes, from_file = _both_readers(fuzz_dir, data)
+    assert from_bytes == from_file
+
+
+def test_a_zlib_bomb_inflates_no_further_than_the_header_size(tmp_path):
+    packer = zlib.compressobj()
+    bomb = b"".join(packer.compress(bytes(1 << 20)) for _ in range(64)) + packer.flush()
+    data = MINIMAL.replace(b"ElementDataFile", b"CompressedData = True\nElementDataFile") + bomb
+    path = tmp_path / "bomb.mha"
+    path.write_bytes(data)
+    for read, source in ((read_mha, data), (read_mha_file, str(path))):
+        tracemalloc.start()
+        try:
+            vol = read(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(vol.voxels, np.zeros((1, 2, 2)))
+        assert peak < 1 << 20   # 64 MiB of zeros stay uninflated
+
+
+def test_a_payload_that_cannot_be_allocated_is_malformed(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(np, "empty", no_memory)
+    with pytest.raises(MalformedHeaderError, match="4-byte payload, more than can be allocated"):
+        read_mha(MINIMAL + bytes(4))
+
+
+# ---------------------------------------------------------------------------
 # to_hounsfield
 
 
@@ -354,16 +492,33 @@ def test_read_voxels_are_a_native_writable_copy(compress, msb, wrap):
     assert bytes(data) == buf
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.uint8])
-def test_to_hounsfield_is_bit_identical_to_float32_rescale(dtype):
-    info = np.iinfo(dtype)
-    arr = np.random.default_rng(3).integers(info.min, info.max, size=(4, 6, 7), endpoint=True)
-    vol = Volume.from_array(arr.astype(dtype))
-    slope, intercept = 0.37, -1024.25
+def _unfused_rescale(voxels, slope, intercept):
+    """The float32 map as three passes: cast, then in place *slope, +intercept."""
+    want = voxels.astype(np.float32)
+    if slope != 1.0 or intercept != 0.0:
+        want *= np.float32(slope)
+        want += np.float32(intercept)
+    return want
+
+
+@pytest.mark.parametrize("slope, intercept", [(1.0, 0.0), (1.0, -1024.25), (0.37, 0.0),
+                                              (0.37, -1024.25), (-2.0, 3.0)])
+@pytest.mark.parametrize("element_type", sorted(ELEMENT_TYPES))
+def test_to_hounsfield_is_bit_identical_to_float32_rescale(element_type, slope, intercept):
+    base = ELEMENT_TYPES[element_type]
+    rng = np.random.default_rng(3)
+    if base.startswith("f"):
+        arr = (rng.standard_normal(4 * 6 * 7) * 1000).astype(base)
+        arr[:7] = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, -1e-30]
+    else:
+        info = np.iinfo(base)
+        arr = rng.integers(info.min, info.max, size=4 * 6 * 7, endpoint=True).astype(base)
+    vol = Volume.from_array(arr.reshape(4, 6, 7))
     vol.header.raw_fields["RescaleSlope"] = repr(slope)
     vol.header.raw_fields["RescaleIntercept"] = repr(intercept)
-    want = vol.voxels.astype(np.float32) * np.float32(slope) + np.float32(intercept)
-    npt.assert_array_equal(to_hounsfield(vol).voxels, want)
+    got = to_hounsfield(vol).voxels
+    assert got.dtype == np.float32
+    assert got.tobytes() == _unfused_rescale(vol.voxels, slope, intercept).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.float32])
@@ -391,7 +546,8 @@ def test_to_hounsfield_header_shares_nothing_with_its_source():
 
 
 @pytest.mark.parametrize("key", ["RescaleSlope", "RescaleIntercept"])
-@pytest.mark.parametrize("value", ["", "1 2", "abc", "nan"], ids=["empty", "two", "word", "nan"])
+@pytest.mark.parametrize("value", ["", "1 2", "abc", "nan", "1e39", "-3.5e38"],
+                         ids=["empty", "two", "word", "nan", "float32-overflow", "float32-negative-overflow"])
 def test_to_hounsfield_rejects_a_rescale_value_that_is_not_one_finite_number(key, value):
     vol = Volume.from_array(np.array([1024, 0], dtype=np.int16))
     vol.header.raw_fields[key] = value

@@ -162,6 +162,19 @@ def test_depth_one_volume_works_under_every_policy():
         npt.assert_array_equal(out, np.zeros((6, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_pixel_in_the_selected_slice_is_a_select_slice_error(bad):
+    vox = np.zeros((5, 6, 7), dtype=np.float32)
+    vox[2, 3, 4] = vox[2, 5, 0] = bad
+    vox[0, 0, 0] = np.nan   # outside the selected slice: not looked at
+    with pytest.raises(PreprocessError, match=r"slice 2 .* at \(y, x\) = \(3, 4\)") as exc:
+        preprocess(volume_of(vox), PreprocessConfig(target_size=16))
+    assert exc.value.stage == "select_slice"
+    clean = preprocess(volume_of(vox), PreprocessConfig(target_size=16, slice_policy="index",
+                                                        slice_index=4))
+    assert np.isfinite(clean.pixels).all()
+
+
 def test_select_slice_returns_float64_copy():
     vol = ramp_volume(4)
     out = select_slice(vol, "middle-axial")
