@@ -73,16 +73,14 @@ def _parse_label(raw: str, column: str, line_no: int) -> int:
     return int(text)
 
 
-def load_reference(csv_path: str, data_dir: Optional[str] = None) -> list[StudyRecord]:
+def load_reference(csv_path: str) -> list[StudyRecord]:
     """Parse a reference CSV into study records.
 
-    Volume paths default to ``<csv dir>/data/<PatientID>.mha``; pass
-    ``data_dir`` to point somewhere else. Files are not required to exist
-    yet — that is checked lazily when a batch actually loads them. A file
-    holding only the header is a valid empty dataset.
+    Volume paths are ``<csv dir>/data/<PatientID>.mha``. Files are not
+    required to exist yet — that is checked lazily when a batch actually
+    loads them. A file holding only the header is a valid empty dataset.
     """
-    if data_dir is None:
-        data_dir = os.path.join(os.path.dirname(os.path.abspath(csv_path)), "data")
+    data_dir = os.path.join(os.path.dirname(os.path.abspath(csv_path)), "data")
     with open(csv_path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -150,7 +148,7 @@ def load_study_image(record: StudyRecord, config: PreprocessConfig,
     try:
         volume = read_mha_file(record.volume_path)
         hounsfield = to_hounsfield(volume)
-        image = preprocess(hounsfield, config, patient_id=record.patient_id)
+        image = preprocess(hounsfield, config)
     except (MhaError, PreprocessError, OSError) as e:
         raise ItemError(record.patient_id, str(e)) from e
     if cache is not None:

@@ -10,7 +10,7 @@ stage failure with the stage name attached.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,6 @@ class ProcessedImage:
     """A model-ready image: target_size x target_size float32 pixels in [0, 1]."""
 
     pixels: np.ndarray
-    source_patient_id: str
-    provenance: dict
 
 
 def select_slice(volume: Volume, policy: str = "middle-axial", index: int = 0) -> np.ndarray:
@@ -149,9 +147,9 @@ def clip_normalize(image: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (np.clip(img, lo, hi) - lo) / (hi - lo)
 
 
-def preprocess(volume: Volume, config: PreprocessConfig,
-               patient_id: str = "") -> ProcessedImage:
-    """Run the full pipeline; stage failures surface as PreprocessError."""
+def preprocess(volume: Volume, config: PreprocessConfig) -> ProcessedImage:
+    """Run the full pipeline; stage failures surface as PreprocessError naming
+    the stage (the caller names the study)."""
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -166,5 +164,4 @@ def preprocess(volume: Volume, config: PreprocessConfig,
     if cropped.shape != image.shape:
         cropped = stage("resample", resample, cropped, config.target_size)
     image = stage("clip_normalize", clip_normalize, cropped, config.clip_lo, config.clip_hi)
-    return ProcessedImage(pixels=image.astype(np.float32), source_patient_id=patient_id,
-                          provenance=asdict(config))
+    return ProcessedImage(pixels=image.astype(np.float32))

@@ -1,13 +1,13 @@
 """N-dimensional tensors with reverse-mode automatic differentiation.
 
 The operator set is exactly what a DenseNet forward pass needs: convolution,
-batch normalization, ReLU, pooling, channel concatenation, a fully-connected
-layer, sigmoid, plus the elementwise/reduction glue used to assemble losses.
-Every differentiable operation carries an analytic backward rule. A recorded
-output points at its node and a node at its inputs (a fixed tuple per op, None
-for an absent optional operand), never forward, so the loss owns its graph and
-dropping it frees the graph by reference counting. ``backward`` replays each
-node a gradient reaches once, newest first, from a max-heap on recording order.
+batch normalization, ReLU, pooling, channel concatenation and a
+fully-connected layer; the loss is recorded where it is defined, through
+``record``. Every differentiable operation carries an analytic backward rule.
+A recorded output points at its node and a node at its input tensors (a fixed
+tuple per op), never forward, so the loss owns its graph and dropping it
+frees the graph by reference counting. ``backward`` replays each node a
+gradient reaches once, newest first, from a max-heap on recording order.
 
 Convolution has one GEMM path. A strided conv first gathers its kernel taps
 (the strided slices pooling also uses) into columns, and is then a 1x1 conv
@@ -60,7 +60,7 @@ class TapeNode:
     """One recorded operation: input tensors, backward rule, recording order.
 
     The backward rule maps the output gradient to a tuple of input gradients
-    (entries may be None for absent, non-differentiable or grad-free inputs).
+    (an entry may be None for an input that needs no gradient).
     ``seq`` increases with every recorded operation, so every consumer of a
     tensor has a larger ``seq`` than the node that produced it.
     """
@@ -143,21 +143,7 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
-    def sum(self) -> "Tensor":
-        src_shape, dtype = self.data.shape, self.data.dtype
-        out = self.data.sum(dtype=dtype)
-
-        def rule(g):
-            return (np.full(src_shape, g, dtype=dtype),)
-
-        return record((self,), out, rule)
-
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         src_shape = self.data.shape
         out = self.data.reshape(shape)
 
@@ -166,41 +152,8 @@ class Tensor:
 
         return record((self,), out, rule)
 
-    def __add__(self, other):
-        other = _operand(self, other, "add")
-        return record((self, other), self.data + other.data, lambda g: (g, g))
-
-    def __sub__(self, other):
-        other = _operand(self, other, "sub")
-        return record((self, other), self.data - other.data, lambda g: (g, -g))
-
-    def __mul__(self, other):
-        other = _operand(self, other, "mul")
-        a, b = self.data, other.data
-        return record((self, other), a * b, lambda g: (g * b, g * a))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-def _operand(a: Tensor, b, opname: str) -> Tensor:
-    # the right operand of an elementwise op; a Python scalar becomes a
-    # constant tensor of a's shape and dtype
-    if isinstance(b, (int, float)):
-        return Tensor(np.full(a.data.shape, b, dtype=a.data.dtype))
-    if not isinstance(b, Tensor):
-        raise TypeError(f"{opname}: expected Tensor or scalar, got {type(b).__name__}")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ (no broadcasting)")
-    if a.data.dtype != b.data.dtype:
-        raise ShapeError(f"{opname}: dtypes {a.data.dtype} and {b.data.dtype} differ")
-    return b
 
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -208,11 +161,11 @@ def record(inputs: Sequence[Tensor], out_data: np.ndarray,
     """Wrap an op result, attaching a graph node when gradients are tracked.
 
     This is the extension point for custom differentiable operations defined
-    outside this module. An op records the same input tuple on every call, None
-    for an absent optional operand; ``backward_rule(grad_out)`` must return one
-    gradient (or None, always for a None entry) per entry, in that input's shape.
+    outside this module. An op records the same input tuple on every call;
+    ``backward_rule(grad_out)`` must return one gradient per input, in that
+    input's shape, or None for an input that needs none.
     """
-    req = _grad_enabled and any(t is not None and t.requires_grad for t in inputs)
+    req = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=req)
     if req:
         out.node = TapeNode(tuple(inputs), backward_rule, next(_sequence))
@@ -242,7 +195,7 @@ def backward(loss: Tensor):
         node = heapq.heappop(heap)[1]
         grads = node.backward_rule(pending.pop(node))
         for t, gt in zip(node.inputs, grads):
-            if t is None or gt is None or not t.requires_grad:
+            if gt is None or not t.requires_grad:
                 continue
             if t.node is None:
                 t.grad = np.array(gt, dtype=t.data.dtype) if t.grad is None else t.grad + gt
@@ -287,33 +240,22 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = stable_sigmoid(x.data)
-
-    def rule(g):
-        return (g * out * (1.0 - out),)
-
-    return record((x,), out, rule)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """x @ weight.T + bias for x of shape (N, F) and weight of shape (D, F)."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight.T + bias for x of shape (N, F), weight (D, F) and bias (D,)."""
     if x.ndim != 2 or weight.ndim != 2:
         raise ShapeError(f"linear: expected 2-D input/weight, got {x.data.shape} and {weight.data.shape}")
     if x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(
             f"linear: input features {x.data.shape[1]} != weight features {weight.data.shape[1]}")
     xd, wd = x.data, weight.data
-    out = xd @ wd.T
-    if bias is not None:
-        if bias.data.shape != (wd.shape[0],):
-            raise ShapeError(f"linear: bias shape {bias.data.shape} != ({wd.shape[0]},)")
-        out = out + bias.data
+    if bias.data.shape != (wd.shape[0],):
+        raise ShapeError(f"linear: bias shape {bias.data.shape} != ({wd.shape[0]},)")
+    out = xd @ wd.T + bias.data
 
     def rule(g):
         gx = g @ wd if x.requires_grad else None
         gw = g.T @ xd if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias is not None and bias.requires_grad else None
+        gb = g.sum(axis=0) if bias.requires_grad else None
         return (gx, gw, gb)
 
     return record((x, weight, bias), out, rule)
@@ -344,9 +286,8 @@ def _taps(kh: int, kw: int, stride: int, h2: int, w2: int) -> list:
             for ky in range(kh) for kx in range(kw)]
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution of (N, C, H, W) with (O, C, kh, kw).
+def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution of (N, C, H, W) with (O, C, kh, kw), without bias.
 
     Output spatial extent is floor((H + 2*padding - kh)/stride) + 1 (same for
     width). A strided conv (in the model only the stem) gathers its kernel
@@ -375,8 +316,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise GeometryError(
             f"conv2d: kernel {kh}x{kw} stride {stride} padding {padding} "
             f"yields empty output for input {h}x{w}")
-    if bias is not None and bias.data.shape != (o,):
-        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({o},)")
 
     # the conv as a stride-1 conv of xs (N, cs, hs, ws), padded by ps, with a
     # (O, cs, khs, kws) kernel
@@ -408,8 +347,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out = grids[0] if len(grids) == 1 else grids[0] + grids[1]
     for part in grids[2:]:
         out += part
-    if bias is not None:
-        out = out + bias.data.reshape(1, o, 1, 1)
 
     def rule(g):
         # stacked_g: block t is g at offset s_t with zero wrap columns, so each
@@ -438,10 +375,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 for t in reversed(range(len(taps))):
                     gx[taps[t]] += gcols[:, :, t]
                 gx = gx[:, :, padding:padding + h, padding:padding + w]
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
-        return (gx, gw, gb)
+        return (gx, gw)
 
-    return record((x, weight, bias), out, rule)
+    return record((x, weight), out, rule)
 
 
 def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int = 0) -> Tensor:

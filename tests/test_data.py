@@ -47,10 +47,13 @@ def test_load_reference_parses_rows(tmp_path):
     assert records[0].volume_path == str(tmp_path / "data" / "covid-42.mha")
 
 
-def test_load_reference_custom_data_dir(tmp_path):
-    path = write_csv(tmp_path, "PatientID,probCOVID,probSevere\np1,0,0\n")
-    records = load_reference(path, data_dir="/elsewhere")
-    assert records[0].volume_path == os.path.join("/elsewhere", "p1.mha")
+def test_load_reference_resolves_a_relative_csv_path_to_its_own_data_dir(tmp_path, monkeypatch):
+    # the volumes sit beside the CSV, whatever directory the program runs in
+    (tmp_path / "split").mkdir()
+    write_csv(tmp_path / "split", "PatientID,probCOVID,probSevere\np1,0,0\n")
+    monkeypatch.chdir(tmp_path)
+    records = load_reference(os.path.join("split", "reference.csv"))
+    assert records[0].volume_path == str(tmp_path / "split" / "data" / "p1.mha")
 
 
 def test_load_reference_tolerates_blank_lines_and_spaces(tmp_path):
