@@ -13,7 +13,8 @@ a checkpoint's input size is the size they preprocess to. A config file may
 set only the keys its subcommand takes.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
-(unreadable volume, malformed reference, bad checkpoint), 3 divergence.
+(unreadable volume, malformed or empty reference, bad checkpoint), 3
+divergence.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .preprocess import PreprocessConfig, PreprocessError, preprocess
 from .training import (
     PRESETS,
     DivergenceError,
+    EpochMetrics,
     PatientEval,
     TrainConfig,
     evaluate,
@@ -137,17 +139,29 @@ def _resolve_with_checkpoint(args) -> tuple[dict, DenseNetModel]:
     return settings, model
 
 
+def _load_records(data_dir: str) -> list:
+    """The studies listed in ``data_dir``'s reference.csv; a reference with
+    no study is a data error."""
+    path = os.path.join(data_dir, "reference.csv")
+    records = load_reference(path)
+    if not records:
+        raise DataError(f"{path} lists no study")
+    return records
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
 
+def _print_epoch(m: EpochMetrics) -> None:
+    print(f"epoch {m.epoch}: train_loss={m.train_loss:.4f} "
+          f"val_loss={m.val_loss:.4f} val_accuracy={m.val_accuracy:.4f}", flush=True)
+
+
 def cmd_train(args) -> int:
     config = _train_config(_resolve(args))
-    records = load_reference(os.path.join(args.data, "reference.csv"))
-    model, metrics = train(records, config, args.out)
-    for m in metrics:
-        print(f"epoch {m.epoch}: train_loss={m.train_loss:.4f} "
-              f"val_loss={m.val_loss:.4f} val_accuracy={m.val_accuracy:.4f}")
+    records = _load_records(args.data)
+    model, metrics = train(records, config, args.out, on_epoch=_print_epoch)
     print(f"done: {len(metrics)} epochs, {model.count_params()} parameters, "
           f"artifacts in {args.out}")
     return 0
@@ -155,7 +169,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     settings, model = _resolve_with_checkpoint(args)
-    records = load_reference(os.path.join(args.data, "reference.csv"))
+    records = _load_records(args.data)
     result = evaluate(model, records, _preprocess_config(settings),
                       batch_size=settings["batch_size"],
                       threshold=settings["threshold"])

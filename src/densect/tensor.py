@@ -4,10 +4,15 @@ The operator set is exactly what a DenseNet forward pass needs: convolution,
 batch normalization, ReLU, pooling, channel concatenation and a
 fully-connected layer; the loss is recorded where it is defined, through
 ``record``. Every differentiable operation carries an analytic backward rule.
-A recorded output points at its node and a node at its input tensors (a fixed
-tuple per op), never forward, so the loss owns its graph and dropping it
-frees the graph by reference counting. ``backward`` replays each node a
-gradient reaches once, newest first, from a max-heap on recording order.
+A recorded output points at its node and a node, per input, at the node that
+produced it, at the input itself if it is a leaf that requires grad, or at
+nothing. Pointers run only backward, so the loss owns its graph and dropping
+it frees the graph by reference counting. A node keeps no input tensor: its
+backward rule keeps the arrays it reads, shapes and flags, so an activation
+no rule reads (a batch-norm output under its ReLU, a conv output a concat
+copied) is freed as soon as the forward drops it (after Pleiss et al.,
+arXiv:1707.06990). ``backward`` replays each node a gradient reaches once,
+newest first, from a max-heap on recording order.
 
 Convolution has one GEMM path. A strided conv first gathers its kernel taps
 (the strided slices pooling also uses) into columns, and is then a 1x1 conv
@@ -15,15 +20,17 @@ over them. The stride-1 conv builds no column matrix: it lays the
 zero-padded input out as flat rows, where every kernel tap is a shifted
 column window, and computes all taps in one GEMM with the taps stacked on
 the output-channel side (after Anderson et al., arXiv:1709.03395, and MEC,
-arXiv:1706.06873). Its node keeps only that flat padded input, a view of
-the input itself for a 1x1 unpadded conv. The backward scatters a strided
-conv's column gradient back through the same taps.
+arXiv:1706.06873). Its rule keeps the unpadded GEMM input (the input
+itself, or a strided conv's columns) and lays the flat padded rows out
+again in backward. The backward scatters a strided conv's column gradient
+back through the same taps.
 
 The ops between the convolutions make few, long passes. Pooling's backward
 works in parity planes of the padded input, where every tap is a shifted
 copy of the window grid, one contiguous pass per tap (see _pool_grad).
 Training batch norm sums with einsum and scales with gamma/sqrt(var+eps)
-folded into one factor. ReLU's backward multiplies g by a float mask.
+folded into one factor. ReLU's backward multiplies g by a float mask taken
+from its own output, which the next op keeps anyway.
 
 Default element type is float32; pass ``dtype=np.float64`` when building
 tensors for finite-difference verification.
@@ -57,10 +64,12 @@ class DegenerateStatsError(ValueError):
 
 
 class TapeNode:
-    """One recorded operation: input tensors, backward rule, recording order.
+    """One recorded operation: input sources, backward rule, recording order.
 
-    The backward rule maps the output gradient to a tuple of input gradients
-    (an entry may be None for an input that needs no gradient).
+    ``inputs`` holds one source per input: the TapeNode that produced it, the
+    input itself if it is a leaf that requires grad, or None if it needs no
+    gradient. The backward rule maps the output gradient to a tuple of input
+    gradients (an entry may be None for an input that needs no gradient).
     ``seq`` increases with every recorded operation, so every consumer of a
     tensor has a larger ``seq`` than the node that produced it.
     """
@@ -163,12 +172,17 @@ def record(inputs: Sequence[Tensor], out_data: np.ndarray,
     This is the extension point for custom differentiable operations defined
     outside this module. An op records the same input tuple on every call;
     ``backward_rule(grad_out)`` must return one gradient per input, in that
-    input's shape, or None for an input that needs none.
+    input's shape, or None for an input that needs none. The node keeps each
+    input's source, not the input: a rule that closes over an input tensor
+    keeps that tensor's data alive until the loss dies, so a rule should
+    close over only the arrays it reads.
     """
     req = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=req)
     if req:
-        out.node = TapeNode(tuple(inputs), backward_rule, next(_sequence))
+        sources = tuple(t.node if t.node is not None else (t if t.requires_grad else None)
+                        for t in inputs)
+        out.node = TapeNode(sources, backward_rule, next(_sequence))
     return out
 
 
@@ -194,16 +208,16 @@ def backward(loss: Tensor):
     while heap:
         node = heapq.heappop(heap)[1]
         grads = node.backward_rule(pending.pop(node))
-        for t, gt in zip(node.inputs, grads):
-            if gt is None or not t.requires_grad:
+        for src, gt in zip(node.inputs, grads):
+            if gt is None or src is None:
                 continue
-            if t.node is None:
-                t.grad = np.array(gt, dtype=t.data.dtype) if t.grad is None else t.grad + gt
-            elif t.node in pending:
-                pending[t.node] = pending[t.node] + gt
+            if isinstance(src, Tensor):
+                src.grad = np.array(gt, dtype=src.data.dtype) if src.grad is None else src.grad + gt
+            elif src in pending:
+                pending[src] = pending[src] + gt
             else:
-                pending[t.node] = gt
-                heapq.heappush(heap, (-t.node.seq, t.node))
+                pending[src] = gt
+                heapq.heappush(heap, (-src.seq, src))
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +227,17 @@ def backward(loss: Tensor):
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the gradient at exactly 0 is defined as 0.
 
-    The backward rule builds its mask from the input the node already holds,
-    so a forward that records nothing makes only the output. The mask is
-    made as floats and multiplied by g in place, which has the bits of
-    g * (x > 0), -0.0 included, without a float-times-bool multiply.
+    The backward rule keeps only the output and builds its mask from it:
+    out > 0 has the bits of x > 0 for every float, -0.0 and NaN included, and
+    the output is what the next op keeps anyway, so the input is freed once
+    the forward drops it. The mask is made as floats and multiplied by g in
+    place, which has the bits of g * (x > 0), -0.0 included, without a
+    float-times-bool multiply.
     """
-    xd = x.data
-    out = np.maximum(xd, 0)
+    out = np.maximum(x.data, 0)
 
     def rule(g):
-        gx = (xd > 0).astype(g.dtype)
+        gx = (out > 0).astype(g.dtype)
         gx *= g
         return (gx,)
 
@@ -251,11 +266,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (wd.shape[0],):
         raise ShapeError(f"linear: bias shape {bias.data.shape} != ({wd.shape[0]},)")
     out = xd @ wd.T + bias.data
+    want_x, want_w, want_b = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def rule(g):
-        gx = g @ wd if x.requires_grad else None
-        gw = g.T @ xd if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias.requires_grad else None
+        gx = g @ wd if want_x else None
+        gw = g.T @ xd if want_w else None
+        gb = g.sum(axis=0) if want_b else None
         return (gx, gw, gb)
 
     return record((x, weight, bias), out, rule)
@@ -293,10 +309,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     width). A strided conv (in the model only the stem) gathers its kernel
     taps of the padded input into columns (N, C*kh*kw, H2, W2) and is an
     unpadded 1x1 conv over them, so every conv is one tap-stacked stride-1
-    GEMM. Its node keeps only the GEMM's flat padded input: a view of x for a
-    1x1 unpadded conv, of the columns for a strided one, whose backward
-    scatters the column gradient back through the taps. Nothing is kept
-    while recording is off.
+    GEMM. Its rule keeps only the GEMM's unpadded input, x itself (which the
+    op before keeps anyway) or a strided conv's columns, and the weight;
+    backward lays the input out as flat padded rows again for the weight
+    gradient, and a strided conv scatters its column gradient back through
+    the taps. Nothing is kept while recording is off.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weight, got {x.data.shape} and {weight.data.shape}")
@@ -329,12 +346,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     _, cs, hs, ws = xs.shape
     khs, kws = wts.shape[2:]
 
-    # xpf is xs padded into flat rows (N, cs, Hp*Wp + kws-1): tap (ky, kx) is
-    # its column window from s = ky*Wp + kx, and output row y is columns
+    # _pad_flat lays xs out as flat padded rows (N, cs, Hp*Wp + kws-1): tap
+    # (ky, kx) is their column window from s = ky*Wp + kx, and output row y is columns
     # y*Wp .. y*Wp + W2-1 of every window (the Wp - W2 after them wrap around)
     hp, wp = hs + 2 * ps, ws + 2 * ps
     offsets = [ky * wp + kx for ky in range(khs) for kx in range(kws)]
-    xpf = _pad_flat(xs, ps, kws - 1)
     w_taps = wts.transpose(2, 3, 0, 1).reshape(khs * kws * o, cs)
 
     def grid(a, s):
@@ -342,11 +358,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         return a[..., s:s + h2 * wp].reshape(n, o, h2, wp)[..., :w2]
 
     # one GEMM with K = cs gives every tap's (O, Hp*Wp + kws-1) product, stacked
-    y = np.matmul(w_taps, xpf).reshape(n, khs * kws, o, -1)
+    y = np.matmul(w_taps, _pad_flat(xs, ps, kws - 1)).reshape(n, khs * kws, o, -1)
     grids = [grid(y[:, t], s) for t, s in enumerate(offsets)]
     out = grids[0] if len(grids) == 1 else grids[0] + grids[1]
     for part in grids[2:]:
         out += part
+    want_x, want_w = x.requires_grad, weight.requires_grad
 
     def rule(g):
         # stacked_g: block t is g at offset s_t with zero wrap columns, so each
@@ -354,17 +371,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         if len(offsets) == 1:
             stacked_g = g.reshape(n, o, -1)
         else:
-            stacked_g = np.zeros((n, khs * kws, o, xpf.shape[2]), dtype=g.dtype)
+            stacked_g = np.zeros((n, khs * kws, o, hp * wp + kws - 1), dtype=g.dtype)
             for t, s in enumerate(offsets):
                 grid(stacked_g[:, t], s)[...] = g
             stacked_g = stacked_g.reshape(n, khs * kws * o, -1)
         gw = None
-        if weight.requires_grad:
+        if want_w:
+            xpf = _pad_flat(xs, ps, kws - 1)
             gw = np.matmul(stacked_g, xpf.transpose(0, 2, 1)).sum(axis=0)
             gw = np.ascontiguousarray(gw.reshape(khs, kws, o, cs).transpose(2, 3, 0, 1))
             gw = gw.reshape(o, c, kh, kw)
         gx = None
-        if x.requires_grad:
+        if want_x:
             gx = np.matmul(w_taps.T, stacked_g)[:, :, :hp * wp].reshape(n, cs, hp, wp)
             gx = gx[:, :, ps:ps + hs, ps:ps + ws]
             if taps is not None:
@@ -388,8 +406,9 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     "global-average": ignores kernel/stride/padding and reduces H, W to 1.
 
     Max and average pooling combine the kernel*kernel strided views (taps) of
-    the padded input elementwise, so no array of windows is built. The node
-    keeps the input and the output, and no padded copy, mask or index. One
+    the padded input elementwise, so no array of windows is built. A max
+    pool's rule keeps the input and the output, and no padded copy, mask or
+    index; an average or global-average pool's rule keeps only shapes. One
     backward rule adds g/(kernel*kernel), or g where a tap holds the
     first-occurrence argmax (found again from the input and the output), at
     every tap. It works on the stride x stride parity planes of the padded
@@ -439,14 +458,18 @@ def pool2d(x: Tensor, mode: str, kernel: int = 2, stride: int = 2, padding: int 
     if mode == "average":
         out /= kernel * kernel
 
+    # an average pool reads neither the input nor the output in backward
+    xd, kept_out = (x.data, out) if mode == "max" else (None, None)
+
     def rule(g):
-        return (_pool_grad(g, mode, x.data, out, kernel, stride, padding),)
+        return (_pool_grad(g, (n, c, h, w), xd, kept_out, kernel, stride, padding),)
 
     return record((x,), out, rule)
 
 
-def _pool_grad(g, mode, xd, out, k, s, p):
-    # The input gradient of a max or average pool of xd into out. Padded
+def _pool_grad(g, shape, xd, out, k, s, p):
+    # The input gradient of a pool of an input of the given shape: a max pool
+    # of xd into out, or an average pool when both are None. Padded
     # position (Y, X) lies in parity plane (Y % s, X % s) at (Y // s, X // s),
     # so tap (ky, kx) of window (a, b) lies in plane (ky % s, kx % s) at
     # (a + ky // s, b + kx // s): in its plane, a tap is the window grid
@@ -454,10 +477,10 @@ def _pool_grad(g, mode, xd, out, k, s, p):
     # (hq, wq) per (n, c) channel, the grid zero past its h2 x w2 corner, so a
     # shift is an offset and each tap is one contiguous pass, as in the
     # stride-1 conv.
-    n, c, h, w = xd.shape
+    n, c, h, w = shape
     h2, w2 = g.shape[2:]
     nc = n * c
-    xd, out, g = (a.reshape(nc, *a.shape[2:]) for a in (xd, out, g))
+    g = g.reshape(nc, h2, w2)
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     size = nc * hq * wq
     # taps[ky*k + kx]: the plane tap (ky, kx) lies in and its offset there
@@ -482,10 +505,11 @@ def _pool_grad(g, mode, xd, out, k, s, p):
         return np.full((s * s, size + (k - 1) // s * (wq + 1)), fill, dtype=g.dtype)
 
     gf = grid_rows(g)
-    if mode == "average":
+    if xd is None:
         gf /= k * k
         part = gf
     else:
+        xd, out = xd.reshape(nc, h, w), out.reshape(nc, h2, w2)
         # win[t]: tap t holds its window's maximum and no earlier tap does
         xq = plane_rows(-np.inf)
         for r, in_plane, in_x in planes:
@@ -504,7 +528,7 @@ def _pool_grad(g, mode, xd, out, k, s, p):
     gq = plane_rows(0)
     for t in reversed(range(len(taps))):
         r, off = taps[t]
-        if mode == "max":
+        if xd is not None:
             # a float mask times g: float times bool is the slower multiply
             np.copyto(part, win[t])
             part *= gf
@@ -551,9 +575,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     running buffers in place (running variance uses the unbiased estimate,
     matching the usual convention). Eval mode is the affine map x*s + t with
     s = gamma/sqrt(running_var+eps) and t = beta - running_mean*s. In both
-    modes the node keeps only the input, the mean and 1/sqrt(var+eps) of the
-    forward (eval mode's copied then, so a later training-mode buffer update
-    cannot change a pending gradient). Training mode sums with einsum and
+    modes the rule keeps only the input and the forward's mean,
+    1/sqrt(var+eps) and gamma/sqrt(var+eps) (eval mode copies the running
+    mean, so a later training-mode buffer update cannot change a pending
+    gradient). Training mode sums with einsum and
     folds gamma/sqrt(var+eps) into one scale. The backward of both modes
     rebuilds only the centred input x - mean, sums with einsum, and scales by
     1/sqrt(var+eps) in the per-channel factors; only dx differs by mode.
@@ -580,7 +605,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * (var * m / (m - 1))
         inv = 1.0 / np.sqrt(var + eps)
-        out *= (gamma.data * inv)[:, None]
+        scale = gamma.data * inv
+        out *= scale[:, None]
         out += beta.data[:, None]
     else:
         mean = running_mean.data.copy()
@@ -588,15 +614,15 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         scale = gamma.data * inv
         out = x3 * scale[:, None]
         out += (beta.data - mean * scale)[:, None]
+    want_x, want_gamma, want_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def rule(g):
         g3 = g.reshape(n, c, h * w)
-        scale = gamma.data * inv
         xc = x3 - mean[:, None]
         sum_g = np.einsum("ncm->c", g3)                      # dbeta
         sum_gx = np.einsum("ncm,ncm->c", g3, xc) * inv       # dgamma
         dx = None
-        if x.requires_grad:
+        if want_x:
             if training:
                 # dx = gamma*inv * (g - sum(g)/m - xhat*sum(g*xhat)/m), xhat = xc*inv
                 xc *= (inv * sum_gx / m)[:, None]
@@ -606,6 +632,6 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             else:
                 dx = g3 * scale[:, None]
             dx = dx.reshape(n, c, h, w)
-        return (dx, sum_gx if gamma.requires_grad else None, sum_g if beta.requires_grad else None)
+        return (dx, sum_gx if want_gamma else None, sum_g if want_beta else None)
 
     return record((x, gamma, beta), out.reshape(n, c, h, w), rule)

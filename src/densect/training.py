@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import astuple, dataclass, field, fields, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -69,10 +69,11 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     x = logits.data.astype(np.float64)
     per_element = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     n = x.size
+    dtype = logits.data.dtype
 
     def rule(g):
         gx = (stable_sigmoid(x) - t) * (np.asarray(g).item() / n)
-        return (gx.astype(logits.data.dtype),)
+        return (gx.astype(dtype),)
 
     return record((logits,), np.array(per_element.mean()), rule)
 
@@ -258,24 +259,29 @@ def _model_config(train_config: TrainConfig):
     return replace(PRESETS[train_config.preset], input_size=train_config.preprocess.target_size)
 
 
-def train(records: Sequence[StudyRecord], config: TrainConfig,
-          out_dir: str) -> tuple[DenseNetModel, list[EpochMetrics]]:
+def train(records: Sequence[StudyRecord], config: TrainConfig, out_dir: str,
+          on_epoch: Optional[Callable[[EpochMetrics], None]] = None
+          ) -> tuple[DenseNetModel, list[EpochMetrics]]:
     """Train from scratch, streaming metrics.csv and checkpoints to out_dir.
 
     Validation uses the held-out split when val_count > 0, otherwise the
     training set itself (useful for overfitting sanity runs). Artifacts:
     metrics.csv (appended after each epoch), epoch%04d.ckpt every
-    checkpoint_every epochs, and final.ckpt at the end. With stop_accuracy
-    set, training halts early once validation joint accuracy reaches it.
+    checkpoint_every epochs, and final.ckpt at the end. ``on_epoch`` is
+    called with each epoch's metrics once its row and checkpoint are
+    written. With stop_accuracy set, training halts early once validation
+    joint accuracy reaches it.
 
     A trailing batch containing a single study is skipped: batch statistics
     are undefined for one sample once the feature map reaches 1x1. The
     per-epoch shuffle rotates which study that is, so none is starved. A
     target size whose block4 map is empty (below 29 px) is refused by
-    DenseNetConfig, and a training split of one study at a size whose block4
-    map is 1x1 has no batch to train on: both are a ValueError before any
-    artifact is written.
+    DenseNetConfig, and no study at all, or a training split of one study at
+    a size whose block4 map is 1x1, has no batch to train on: each is a
+    ValueError before any artifact is written.
     """
+    if not records:
+        raise ValueError("no study to train on")
     if config.val_count > 0:
         parts = split(records, config.val_count, seed=config.seed)
     else:
@@ -326,6 +332,8 @@ def train(records: Sequence[StudyRecord], config: TrainConfig,
             fh.flush()
             if epoch % config.checkpoint_every == 0:
                 model.save_checkpoint(os.path.join(out_dir, f"epoch{epoch:04d}.ckpt"))
+            if on_epoch is not None:
+                on_epoch(row)
             if config.stop_accuracy is not None and \
                     row.val_accuracy >= config.stop_accuracy:
                 break

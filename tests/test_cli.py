@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from densect import cli
 from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
 from densect.mha import Volume, read_mha_file, write_mha_file
 from densect.model import (DENSENET121, REDUCED, DenseNetModel, checkpoint_bytes,
                            feature_map_plan, model_from_checkpoint_bytes)
-from densect.training import TrainConfig, metrics_from_csv
+from densect.training import DivergenceError, EpochMetrics, TrainConfig, metrics_from_csv
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,22 @@ def test_missing_reference_is_data_error(tmp_path, capsys):
     assert "reference" in err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_reference_with_no_study_is_data_error_before_any_artifact(command, trained, tmp_path,
+                                                                    capsys):
+    data, out = tmp_path / "ds", tmp_path / "o"
+    data.mkdir()
+    (data / "reference.csv").write_text("PatientID,probCOVID,probSevere\n")
+    if command == "train":
+        argv = ["--out", str(out), "--preset", "reduced", "--target-size", "32"]
+    else:
+        argv = ["--checkpoint", str(trained / "final.ckpt"), "--report", str(out)]
+    code, _, err = run_cli(capsys, command, "--data", str(data), *argv)
+    assert code == 2
+    assert str(data / "reference.csv") in err and "no study" in err
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     ckpt = tmp_path / "junk.ckpt"
     ckpt.write_bytes(b"\x00" * 64)
@@ -468,6 +485,26 @@ def test_divergence_is_exit_three(dataset, tmp_path, capsys):
                                "--lr", "1e9")
     assert code == 3
     assert "diverged" in err
+
+
+def test_divergence_after_finished_epochs_has_printed_their_lines(dataset, tmp_path, capsys,
+                                                                   monkeypatch):
+    # the epoch lines come from train's per-epoch callback, so the epochs
+    # that finished are on stdout before the divergence ends the run
+    finished = [EpochMetrics(1, 0.5, 0.25, 0.75), EpochMetrics(2, 0.125, 0.5, 1.0)]
+
+    def diverging_train(records, config, out_dir, on_epoch):
+        for m in finished:
+            on_epoch(m)
+        raise DivergenceError(3, 0, float("nan"), finished)
+
+    monkeypatch.setattr(cli, "train", diverging_train)
+    code, out, err = run_cli(capsys, "train", "--data", str(dataset),
+                             "--out", str(tmp_path / "o"), "--preset", "reduced",
+                             "--target-size", "32")
+    assert code == 3 and "diverged" in err
+    assert out == ("epoch 1: train_loss=0.5000 val_loss=0.2500 val_accuracy=0.7500\n"
+                   "epoch 2: train_loss=0.1250 val_loss=0.5000 val_accuracy=1.0000\n")
 
 
 # ---------------------------------------------------------------- train / evaluate

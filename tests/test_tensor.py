@@ -11,6 +11,7 @@ import ast
 import gc
 import inspect
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,8 @@ def test_conv2d_property_matches_reference(n, c, o, h, w, kh, kw, stride, paddin
     check_conv2d_against_reference((n, c, h, w), (o, c, kh, kw), stride, padding)
 
 
-def test_conv2d_3x3_keeps_no_array_larger_than_its_flat_padded_input():
+def test_conv2d_3x3_keeps_no_array_larger_than_its_input():
+    # the flat padded rows are laid out again in backward, not kept
     n, c, h, w, padding = 2, 4, 5, 6, 1
     x = Tensor(np.random.default_rng(1).standard_normal((n, c, h, w)), requires_grad=True)
     wt = Tensor(np.ones((3, c, 3, 3)), requires_grad=True)
@@ -292,7 +294,7 @@ def test_conv2d_3x3_keeps_no_array_larger_than_its_flat_padded_input():
                 kept.append(item.data)
             elif isinstance(item, np.ndarray):
                 kept.append(item)
-    assert max(a.size for a in kept) <= n * c * ((h + 2 * padding) * (w + 2 * padding) + 3 - 1)
+    assert kept and max(a.size for a in kept) <= x.size
 
 
 def test_conv2d_1x1_keeps_a_view_of_its_input_not_a_copy():
@@ -303,11 +305,13 @@ def test_conv2d_1x1_keeps_a_view_of_its_input_not_a_copy():
                 if isinstance(cell.cell_contents, np.ndarray)
                 and cell.cell_contents.size >= x.size]
     assert retained and all(np.shares_memory(a, x.data) for a in retained)
-    # a padded 1x1 conv needs the zero border, so it retains a copy
+    # a padded 1x1 conv pads again in backward: it too keeps a view of x
+    # and no padded copy
     padded = conv2d(x, w, padding=1)
-    assert not any(np.shares_memory(cell.cell_contents, x.data)
-                   for cell in padded.node.backward_rule.__closure__
-                   if isinstance(cell.cell_contents, np.ndarray))
+    retained = [cell.cell_contents for cell in padded.node.backward_rule.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)
+                and cell.cell_contents.size >= x.size]
+    assert retained and all(np.shares_memory(a, x.data) and a.size == x.size for a in retained)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +422,8 @@ def test_pool_gradients_match_window_loops_bit_for_bit(data, kernel, stride, dty
 
 
 def test_relu_and_max_pool_retain_no_mask_or_index():
-    # both rules rebuild their mask or argmax from the input the node holds
+    # relu rebuilds its mask from its output, max pool its argmax from the
+    # input and the output
     x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True,
                dtype=np.float32)
     for out in (relu(x), pool2d(x, "max", kernel=3, stride=2, padding=1)):
@@ -439,9 +444,17 @@ def test_max_pool_keeps_no_padded_copy_of_its_input():
     assert kept and all(a is out.data or np.shares_memory(a, x.data) for a in kept)
 
 
+@pytest.mark.parametrize("mode", ["average", "global-average"])
+def test_average_pools_keep_only_shapes(mode):
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True)
+    out = pool2d(x, mode)
+    assert not any(isinstance(cell.cell_contents, (Tensor, np.ndarray))
+                   for cell in out.node.backward_rule.__closure__)
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_batchnorm_retains_no_array_but_a_view_of_its_input(training):
-    # both modes rebuild x-hat in backward from the input the node holds;
+    # both modes rebuild x-hat in backward from the input the rule holds;
     # reading an unassigned cell raises ValueError
     x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 4, 4)), requires_grad=True,
                dtype=np.float32)
@@ -875,9 +888,9 @@ def test_backward_replays_in_recording_order_inputs_first():
     # every consumer runs before the node producing its input
     pos = {node: i for i, node in enumerate(replayed)}
     for node in replayed:
-        for inp in node.inputs:
-            if inp.node is not None:
-                assert pos[node] < pos[inp.node]
+        for src in node.inputs:
+            if isinstance(src, T.TapeNode):
+                assert pos[node] < pos[src]
 
 
 def test_backward_never_visits_a_graph_the_loss_cannot_reach():
@@ -889,7 +902,7 @@ def test_backward_never_visits_a_graph_the_loss_cannot_reach():
         raise AssertionError("replayed a node the loss does not depend on")
 
     unrelated.node.backward_rule = must_not_run
-    unrelated.node.inputs[0].node.backward_rule = must_not_run
+    unrelated.node.inputs[0].backward_rule = must_not_run
     backward(loss)
     npt.assert_array_equal(x.grad, [2.0, 2.0])
 
@@ -911,6 +924,65 @@ def test_graph_is_dropped_with_the_loss():
         assert held() is None
     finally:
         gc.enable()
+
+
+def _reduced_train_loss(monkeypatch, held):
+    # a REDUCED float32 training forward at batch 4 and 32 px to its loss;
+    # every relu in the model is fed a batch-norm output: a weak reference
+    # to each one's root buffer is returned, and with ``held`` a list the
+    # outputs are also kept alive in it
+    import densect.model as model_module
+    from densect.training import bce_with_logits
+
+    bn_outputs = []
+
+    def relu_watched(x):
+        root = x.data
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        bn_outputs.append(weakref.ref(root))
+        if held is not None:
+            held.append(x)
+        return relu(x)
+
+    monkeypatch.setattr(model_module, "relu", relu_watched)
+    rng = np.random.default_rng(17)
+    net = model_module.DenseNetModel(replace(model_module.REDUCED, input_size=32), seed=0)
+    logits = net.forward(Tensor(rng.random((4, 1, 32, 32), dtype=np.float32)), training=True)
+    loss = bce_with_logits(logits, rng.integers(0, 2, (4, 2)).astype(np.float32))
+    return net, loss, bn_outputs
+
+
+def test_training_graph_keeps_no_activation_backward_does_not_read(monkeypatch):
+    net, loss, bn_outputs = _reduced_train_loss(monkeypatch, None)
+    nodes, stack = set(), [loss.node]
+    while stack:
+        node = stack.pop()
+        if node in nodes:
+            continue
+        nodes.add(node)
+        for src in node.inputs:
+            if isinstance(src, T.TapeNode):
+                stack.append(src)
+            else:
+                # a leaf that requires grad, or nothing
+                assert src is None or (isinstance(src, Tensor) and src.node is None
+                                       and src.requires_grad)
+        for cell in node.backward_rule.__closure__ or ():
+            value = cell.cell_contents
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                assert not (isinstance(item, Tensor) and item.node is not None)
+    assert len(bn_outputs) == 1 + 2 * (1 + 2 + 2 + 1) + 3 + 1
+    # reference counting alone frees each batch-norm output under its relu
+    # while the loss still holds the graph
+    assert all(ref() is None for ref in bn_outputs)
+
+    held = []
+    twin, twin_loss, _ = _reduced_train_loss(monkeypatch, held)
+    backward(loss)
+    backward(twin_loss)
+    for p, q in zip(net.parameters(), twin.parameters()):
+        npt.assert_array_equal(p.grad, q.grad)
 
 
 def test_no_grad_suppresses_recording():

@@ -538,6 +538,29 @@ def test_train_divergence_raises_with_location(tmp_path, synth_dir):
     assert "diverged" in str(exc.value)
 
 
+def test_on_epoch_runs_as_each_epoch_ends(tmp_path, synth_dir):
+    # epoch e's callback sees e rows in metrics.csv and its checkpoint, and
+    # runs before final.ckpt is written
+    out = tmp_path / "run"
+    seen = []
+
+    def on_epoch(m):
+        assert metrics_from_csv(str(out / "metrics.csv")) == seen + [m]
+        assert (out / f"epoch{m.epoch:04d}.ckpt").exists()
+        assert not (out / "final.ckpt").exists()
+        seen.append(m)
+
+    _, metrics = train(synth_dir, small_train_config(), str(out), on_epoch=on_epoch)
+    assert seen == metrics and len(seen) == 2
+
+
+def test_train_on_no_study_is_refused_before_any_artifact(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="no study"):
+        train([], small_train_config(), str(out))
+    assert not out.exists()
+
+
 def test_metrics_csv_round_trip_and_validation(tmp_path):
     path = tmp_path / "metrics.csv"
     path.write_text("epoch,train_loss,val_loss,val_accuracy\n"
