@@ -65,11 +65,10 @@ class Batch:
     patient_ids: tuple[str, ...]
 
 
-def _parse_label(raw: str, column: str, line_no: int) -> int:
+def _parse_label(raw: str, column: str, where: str) -> int:
     text = raw.strip()
     if text not in ("0", "1"):
-        raise ReferenceFormatError(
-            f"line {line_no}: {column} must be 0 or 1, got {raw!r}")
+        raise ReferenceFormatError(f"{where}: {column} must be 0 or 1, got {raw!r}")
     return int(text)
 
 
@@ -79,6 +78,8 @@ def load_reference(csv_path: str) -> list[StudyRecord]:
     Volume paths are ``<csv dir>/data/<PatientID>.mha``. Files are not
     required to exist yet — that is checked lazily when a batch actually
     loads them. A file holding only the header is a valid empty dataset.
+    Every format error begins with the path, and the line where there is
+    one: ``{csv_path}:{line}: ...``.
     """
     data_dir = os.path.join(os.path.dirname(os.path.abspath(csv_path)), "data")
     with open(csv_path, "r", newline="") as fh:
@@ -86,27 +87,27 @@ def load_reference(csv_path: str) -> list[StudyRecord]:
         try:
             header = next(reader)
         except StopIteration:
-            raise ReferenceFormatError("reference file is empty") from None
+            raise ReferenceFormatError(f"{csv_path}: reference file is empty") from None
         if tuple(h.strip() for h in header) != REFERENCE_HEADER:
             raise ReferenceFormatError(
-                f"expected header {','.join(REFERENCE_HEADER)}, "
+                f"{csv_path}:1: expected header {','.join(REFERENCE_HEADER)}, "
                 f"got {','.join(header)!r}")
         records = []
         seen = set()
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # tolerate blank lines
+            where = f"{csv_path}:{line_no}"
             if len(row) != 3:
-                raise ReferenceFormatError(
-                    f"line {line_no}: expected 3 fields, got {len(row)}")
+                raise ReferenceFormatError(f"{where}: expected 3 fields, got {len(row)}")
             pid = row[0].strip()
             if not pid:
-                raise ReferenceFormatError(f"line {line_no}: empty PatientID")
+                raise ReferenceFormatError(f"{where}: empty PatientID")
             if pid in seen:
-                raise ReferenceFormatError(f"line {line_no}: duplicate PatientID {pid!r}")
+                raise ReferenceFormatError(f"{where}: duplicate PatientID {pid!r}")
             seen.add(pid)
-            covid = _parse_label(row[1], "probCOVID", line_no)
-            severe = _parse_label(row[2], "probSevere", line_no)
+            covid = _parse_label(row[1], "probCOVID", where)
+            severe = _parse_label(row[2], "probSevere", where)
             records.append(StudyRecord(
                 patient_id=pid,
                 volume_path=os.path.join(data_dir, pid + ".mha"),

@@ -104,12 +104,13 @@ def grad_check(fn: Callable[[], Tensor], inputs: Mapping[str, Tensor],
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tolerance=tolerance)
     for name, t in checked.items():
-        flat = t.data.reshape(-1)
-        if samples_per_input is None or flat.size <= samples_per_input:
-            indices = range(flat.size)
-            count = flat.size
+        # writes through .flat reach t.data whatever its layout
+        flat, size = t.data.flat, t.data.size
+        if samples_per_input is None or size <= samples_per_input:
+            indices = range(size)
+            count = size
         else:
-            indices = np.sort(rng.choice(flat.size, size=samples_per_input, replace=False))
+            indices = np.sort(rng.choice(size, size=samples_per_input, replace=False))
             count = samples_per_input
         entry = GradCheckEntry(name=name, checked=count, max_rel_error=0.0)
         for i in indices:

@@ -176,6 +176,15 @@ class DenseLayer:
 
 
 class DenseBlock:
+    """Dense layers whose outputs are appended to their input's channels.
+
+    A call allocates one (N, out_channels, H, W) buffer for the block's
+    features. Each layer's concat writes only its ``growth_rate`` new
+    channels into it and returns the prefix written so far, a view, so no
+    feature map is copied twice and the batch norms that keep those prefixes
+    keep one buffer, not one per layer (Pleiss et al., arXiv:1707.06990).
+    """
+
     def __init__(self, in_c, layers, cfg: DenseNetConfig):
         self.layers = []
         c = in_c
@@ -185,8 +194,11 @@ class DenseBlock:
         self.out_channels = c
 
     def __call__(self, x, training):
+        n, _, h, w = x.shape
+        features = np.empty((n, self.out_channels, h, w), dtype=x.dtype)
         for layer in self.layers:
-            x = concat_channels([x, layer(x, training)])
+            new = layer(x, training)
+            x = concat_channels([x, new], out=features[:, :x.shape[1] + new.shape[1]])
         return x
 
 

@@ -14,6 +14,14 @@ copied) is freed as soon as the forward drops it (after Pleiss et al.,
 arXiv:1707.06990). ``backward`` replays each node a gradient reaches once,
 newest first, from a max-heap on recording order.
 
+Tensor data is any numpy array, views included, and is never copied to make
+it contiguous. A dense block's features live in one buffer: each concat
+writes only the new channels into it (``concat_channels(..., out=)``) and
+its result is a channel prefix of the buffer, which for N > 1 is strided.
+The ops read such a view in place where its layout allows (batch norm's and
+the 1x1 conv's (N, C, H*W) reshapes are views of it) and copy only where a
+reshape must.
+
 Convolution has one GEMM path. A strided conv first gathers its kernel taps
 (the strided slices pooling also uses) into columns, and is then a 1x1 conv
 over them. The stride-1 conv builds no column matrix: it lays the
@@ -107,10 +115,12 @@ class no_grad:
 
 
 class Tensor:
-    """A contiguous n-dimensional float array, optionally tracked for autograd.
+    """An n-dimensional float array, optionally tracked for autograd.
 
-    ``grad`` stays None until backward() populates it; tensors with
-    ``requires_grad=False`` never receive a grad buffer. ``node`` is the
+    ``data`` is the array given (converted only if its dtype must change), so
+    a strided view of a larger buffer stays a view and is never made
+    contiguous. ``grad`` stays None until backward() populates it; tensors
+    with ``requires_grad=False`` never receive a grad buffer. ``node`` is the
     recorded operation that produced this tensor (None for leaves).
     """
 
@@ -123,7 +133,7 @@ class Tensor:
             arr = np.asarray(data)
             if arr.dtype not in (np.float32, np.float64):
                 arr = arr.astype(DEFAULT_DTYPE)
-        self.data = np.ascontiguousarray(arr)
+        self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[TapeNode] = None
@@ -284,7 +294,8 @@ def _conv_out_size(extent: int, kernel: int, stride: int, padding: int) -> int:
 def _pad_flat(a: np.ndarray, padding: int, tail: int) -> np.ndarray:
     # (N, C, H, W) -> (N, C, Hp*Wp + tail): a zero-padded by `padding` on every
     # side, its rows laid end to end, then `tail` zeros; with nothing to add it
-    # is a view of a (tensor data is contiguous), not a copy
+    # is a reshape of a, a view whenever a's rows are contiguous (as in a
+    # channel prefix of a dense block's feature buffer), not a copy
     n, c, h, w = a.shape
     if padding == 0 and tail == 0:
         return a.reshape(n, c, h * w)
@@ -539,8 +550,15 @@ def _pool_grad(g, shape, xd, out, k, s, p):
     return gx.reshape(n, c, h, w)
 
 
-def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
-    """Concatenate (N, Ci, H, W) tensors along the channel axis, in list order."""
+def concat_channels(inputs: Sequence[Tensor], out: Optional[np.ndarray] = None) -> Tensor:
+    """Concatenate (N, Ci, H, W) tensors along the channel axis, in list order.
+
+    Without ``out`` the result is a new array. With ``out``, an
+    (N, sum Ci, H, W) array of the inputs' dtype, each input is written into
+    its channel slice of ``out``, which becomes the result's data; an input
+    that already is that slice (a dense block's features so far) is not
+    written. The rule keeps only the widths.
+    """
     if not inputs:
         raise ShapeError("concat_channels: empty input list")
     first = inputs[0].data
@@ -552,8 +570,20 @@ def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
                 f"concat_channels: batch/spatial mismatch {t.data.shape} vs {first.shape}")
         if t.data.dtype != first.dtype:
             raise ShapeError("concat_channels: mixed dtypes")
-    out = np.concatenate([t.data for t in inputs], axis=1)
     widths = [t.data.shape[1] for t in inputs]
+    if out is None:
+        out = np.concatenate([t.data for t in inputs], axis=1)
+    else:
+        want = (first.shape[0], sum(widths)) + first.shape[2:]
+        if out.shape != want or out.dtype != first.dtype:
+            raise ShapeError(f"concat_channels: out must be {want} {first.dtype}, "
+                             f"got {out.shape} {out.dtype}")
+        start = 0
+        for t, cw in zip(inputs, widths):
+            dst = out[:, start:start + cw]
+            if (_address(t.data), t.data.strides) != (_address(dst), dst.strides):
+                dst[...] = t.data
+            start += cw
 
     def rule(g):
         grads, start = [], 0
@@ -563,6 +593,10 @@ def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
         return tuple(grads)
 
     return record(tuple(inputs), out, rule)
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,

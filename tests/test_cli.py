@@ -314,6 +314,17 @@ def test_reference_with_no_study_is_data_error_before_any_artifact(command, trai
     assert not out.exists()
 
 
+def test_bad_reference_label_names_the_file_before_any_artifact(tmp_path, capsys):
+    data, out = tmp_path / "ds", tmp_path / "o"
+    data.mkdir()
+    (data / "reference.csv").write_text("PatientID,probCOVID,probSevere\np1,2,0\n")
+    code, _, err = run_cli(capsys, "train", "--data", str(data), "--out", str(out),
+                           "--preset", "reduced", "--target-size", "32")
+    assert code == 2
+    assert f"{data / 'reference.csv'}:2: probCOVID must be 0 or 1" in err
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     ckpt = tmp_path / "junk.ckpt"
     ckpt.write_bytes(b"\x00" * 64)

@@ -94,8 +94,26 @@ def test_load_reference_error_names_line(tmp_path):
                      "PatientID,probCOVID,probSevere\n"
                      "p1,1,0\n"
                      "p2,7,0\n")
-    with pytest.raises(ReferenceFormatError, match="line 3"):
+    with pytest.raises(ReferenceFormatError, match=r"reference\.csv:3: "):
         load_reference(path)
+
+
+@pytest.mark.parametrize("body,where", [
+    ("", ""),
+    ("PatientID,probCOVID\np1,1\n", ":1"),
+    ("PatientID,probCOVID,probSevere\np1,1\n", ":2"),
+    ("PatientID,probCOVID,probSevere\n\n,1,0\n", ":3"),
+    ("PatientID,probCOVID,probSevere\np1,1,0\np1,0,0\n", ":3"),
+    ("PatientID,probCOVID,probSevere\np1,2,0\n", ":2"),
+    ("PatientID,probCOVID,probSevere\np1,1,yes\n", ":2"),
+])
+def test_load_reference_errors_begin_with_the_path_and_line(tmp_path, body, where):
+    # the metrics_from_csv style: "{path}:{line}: ...", or "{path}: ..." for
+    # an error that belongs to no line
+    path = write_csv(tmp_path, body)
+    with pytest.raises(ReferenceFormatError) as info:
+        load_reference(path)
+    assert str(info.value).startswith(f"{path}{where}: ")
 
 
 def test_load_reference_missing_file(tmp_path):

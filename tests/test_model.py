@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densect.gradcheck import grad_check
+import densect.model as model_module
 from densect.model import (
     CheckpointError,
     DENSENET121,
@@ -31,7 +32,7 @@ from densect.model import (
     model_from_checkpoint_bytes,
     weighted_layer_count,
 )
-from densect.tensor import Tensor, backward, no_grad
+from densect.tensor import Tensor, backward, concat_channels, no_grad
 from densect.training import bce_with_logits
 from projection import project
 
@@ -328,6 +329,81 @@ def test_reduced_model_gradients_sampled():
     assert report.passed, report.summary()
     # the filter must not have eaten the evidence wholesale
     assert sum(e.checked for e in report.entries) > sum(e.skipped_kinks for e in report.entries)
+
+
+def _copying_block_call(block, x, training):
+    # the dense block as plain concatenation: every concat a new array
+    for layer in block.layers:
+        x = concat_channels([x, layer(x, training)])
+    return x
+
+
+def _train_step(dtype):
+    model = DenseNetModel(REDUCED, seed=11, dtype=dtype)
+    x = Tensor(np.random.default_rng(12).standard_normal((4, 1, 32, 32)), dtype=dtype)
+    loss = bce_with_logits(model.forward(x, training=True), np.eye(2)[[0, 1, 1, 0]])
+    backward(loss)
+    return loss.data, model
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_feature_buffer_block_is_bit_identical_to_copying_concat(dtype, monkeypatch):
+    # batch 4, so every channel prefix of a block's buffer is a strided view
+    loss, model = _train_step(dtype)
+    with monkeypatch.context() as m:
+        m.setattr(model_module.DenseBlock, "__call__", _copying_block_call)
+        ref_loss, ref = _train_step(dtype)
+    npt.assert_array_equal(loss, ref_loss)
+    for (name, t), (_, r) in zip(model.named_state(), ref.named_state()):
+        if t.requires_grad:
+            npt.assert_array_equal(t.grad, r.grad, err_msg=name)
+        else:
+            npt.assert_array_equal(t.data, r.data, err_msg=name)
+    for n in (1, 3):
+        x = Tensor(np.random.default_rng(n).standard_normal((n, 1, 32, 32)), dtype=dtype)
+        with no_grad():
+            logits = model.forward(x).data
+            with monkeypatch.context() as m:
+                m.setattr(model_module.DenseBlock, "__call__", _copying_block_call)
+                ref_logits = model.forward(x).data
+        npt.assert_array_equal(logits, ref_logits)
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_each_block_keeps_its_features_in_one_buffer(monkeypatch):
+    concats, blocks = [], []
+
+    def traced_concat(inputs, out=None):
+        result = concat_channels(inputs, out=out)
+        concats.append(result)
+        return result
+
+    block_call = model_module.DenseBlock.__call__
+
+    def traced_block(block, x, training):
+        first = len(concats)
+        out = block_call(block, x, training)
+        blocks.append((out, concats[first:]))
+        return out
+
+    monkeypatch.setattr(model_module, "concat_channels", traced_concat)
+    monkeypatch.setattr(model_module.DenseBlock, "__call__", traced_block)
+    model = DenseNetModel(REDUCED, seed=0)
+    model.forward(Tensor(np.zeros((3, 1, 32, 32))), training=True)
+    assert [len(c) for _, c in blocks] == list(REDUCED.block_layers)
+    for out, block_concats in blocks:
+        assert out is block_concats[-1]
+        assert all(_root(c.data) is _root(out.data) for c in block_concats)
+        for c in block_concats:
+            cells = [cell.cell_contents for cell in c.node.backward_rule.__closure__]
+            kept = [v for cell in cells
+                    for v in (cell if isinstance(cell, (list, tuple)) else (cell,))]
+            assert not any(isinstance(v, (np.ndarray, Tensor)) for v in kept), cells
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,101 @@ def test_concat_rejects_spatial_mismatch():
         concat_channels([Tensor(np.zeros((2, 3)))])
 
 
+class _RecordsWrites(np.ndarray):
+    # an array whose views log the channel width of every write through them
+    writes: list = []
+
+    def __setitem__(self, key, value):
+        _RecordsWrites.writes.append(self.shape[1])
+        super().__setitem__(key, value)
+
+
+def test_concat_into_out_writes_only_what_is_not_in_place(monkeypatch):
+    rng = np.random.default_rng(3)
+    buf = rng.standard_normal((3, 7, 4, 5))
+    a, b, c = buf[:, :2], rng.standard_normal((3, 3, 4, 5)), rng.standard_normal((3, 2, 4, 5))
+    expected = np.concatenate([a, b, c], axis=1)
+    before = a.copy()
+    monkeypatch.setattr(_RecordsWrites, "writes", [])
+    out = concat_channels([Tensor(a), Tensor(b), Tensor(c)], out=buf.view(_RecordsWrites))
+    npt.assert_array_equal(out.data, expected)
+    assert np.shares_memory(out.data, buf)
+    assert _RecordsWrites.writes == [3, 2]
+    npt.assert_array_equal(a, before)
+    # an input elsewhere is copied even where its values already match
+    fresh = np.zeros((3, 7, 4, 5)).view(_RecordsWrites)
+    monkeypatch.setattr(_RecordsWrites, "writes", [])
+    out = concat_channels([Tensor(a.copy()), Tensor(b), Tensor(c)], out=fresh)
+    npt.assert_array_equal(out.data, expected)
+    assert _RecordsWrites.writes == [2, 3, 2]
+
+
+@pytest.mark.parametrize("shape,dtype", [((3, 6, 4, 5), np.float64), ((3, 7, 4, 4), np.float64),
+                                         ((3, 7, 4, 5), np.float32)])
+def test_concat_rejects_an_out_of_the_wrong_shape_or_dtype(shape, dtype):
+    inputs = [Tensor(np.zeros((3, 2, 4, 5))), Tensor(np.zeros((3, 5, 4, 5)))]
+    with pytest.raises(ShapeError, match=r"out must be \(3, 7, 4, 5\) float64"):
+        concat_channels(inputs, out=np.zeros(shape, dtype=dtype))
+
+
+# ---------------------------------------------------------------------------
+# strided inputs: a channel prefix of a wider array, as a dense block's
+# feature buffer hands its layers, gives the bits of a contiguous copy
+
+
+def test_tensor_keeps_a_view_of_its_array():
+    a = np.zeros((3, 5, 2, 2), dtype=np.float32)
+    assert np.shares_memory(Tensor(a[:, :2]).data, a)
+
+
+def test_grad_check_probes_a_strided_input_in_place():
+    wide = np.random.default_rng(5).standard_normal((2, 5, 3, 3))
+    x = Tensor(wide[:, :2], requires_grad=True)
+    r = np.random.default_rng(6).standard_normal((2, 2, 3, 3))
+    report = grad_check(lambda: project(conv2d(x, Tensor(np.ones((1, 2, 1, 1)))), r[:, :1]),
+                        {"x": x})
+    assert report.passed, report.summary()
+
+
+def _bn(training):
+    return lambda x, gamma, beta, rm, rv: batchnorm2d(x, gamma, beta, rm, rv, training=training)
+
+
+_BN_BUFFERS = [np.full(4, 0.3), np.full(4, 1.7)]
+# name: (op, shapes of its parameters, initial values of its buffers)
+_STRIDED_OPS = {
+    "conv1x1": (lambda x, w: conv2d(x, w), [(5, 4, 1, 1)], []),
+    "conv3x3-padded": (lambda x, w: conv2d(x, w, padding=1), [(5, 4, 3, 3)], []),
+    "batchnorm-train": (_bn(True), [(4,), (4,)], _BN_BUFFERS),
+    "batchnorm-eval": (_bn(False), [(4,), (4,)], _BN_BUFFERS),
+    "relu": (relu, [], []),
+    "maxpool": (lambda x: pool2d(x, "max", kernel=3, stride=2, padding=1), [], []),
+    "avgpool": (lambda x: pool2d(x, "average", kernel=2, stride=2), [], []),
+    "global-avgpool": (lambda x: pool2d(x, "global-average"), [], []),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("name", list(_STRIDED_OPS))
+def test_ops_on_a_channel_prefix_view_match_a_contiguous_copy(name, dtype):
+    op, param_shapes, buffers = _STRIDED_OPS[name]
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal((3, 9, 6, 6)).astype(dtype)
+    params = [rng.standard_normal(shape).astype(dtype) for shape in param_shapes]
+    prefix = wide[:, :4]
+    assert not prefix.flags.c_contiguous
+    results = []
+    for x in (prefix, np.ascontiguousarray(prefix)):
+        xt = Tensor(x, requires_grad=True)
+        pts = [Tensor(p, requires_grad=True) for p in params]
+        bts = [Tensor(b.astype(dtype)) for b in buffers]
+        out = op(xt, *pts, *bts)
+        backward(project(out, np.random.default_rng(8).standard_normal(out.shape)))
+        results.append([out.data, xt.grad] + [p.grad for p in pts] + [b.data for b in bts])
+    for got, ref in zip(*results):
+        npt.assert_array_equal(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # operand validation: each op names the check an invalid operand fails
 
