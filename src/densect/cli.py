@@ -20,13 +20,12 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import asdict, astuple, fields
 from typing import Optional, Sequence
 
-from .data import DataError, load_reference, synth_generate
+from .data import DataError, load_reference, synth_generate, write_csv
 from .mha import MhaError, read_mha_file, to_hounsfield
 from .model import CheckpointError, DenseNetModel, count_connections, feature_map_plan, weighted_layer_count
 from .preprocess import PreprocessConfig, PreprocessError, preprocess
@@ -179,10 +178,8 @@ def cmd_evaluate(args) -> int:
               f"pred={row.pred_covid},{row.pred_severe} "
               f"label={row.label_covid},{row.label_severe}")
     print(f"loss={result.loss:.4f} joint_accuracy={result.joint_accuracy:.4f}")
-    with open(args.report, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(f.name for f in fields(PatientEval))
-        writer.writerows(astuple(row) for row in result.per_patient)
+    write_csv(args.report, [f.name for f in fields(PatientEval)],
+              (astuple(row) for row in result.per_patient))
     return 0
 
 
@@ -244,18 +241,12 @@ def cmd_curves(args) -> int:
     val_ma = _trailing_mean([m.val_loss for m in metrics], args.window)
     acc_ma = _trailing_mean([m.val_accuracy for m in metrics], args.window)
     loss_path = os.path.join(args.out_dir, "loss.csv")
-    with open(loss_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("epoch", "train_loss", "val_loss",
-                         "train_loss_ma", "val_loss_ma"))
-        for i, m in enumerate(metrics):
-            writer.writerow((m.epoch, m.train_loss, m.val_loss, train_ma[i], val_ma[i]))
+    write_csv(loss_path, ("epoch", "train_loss", "val_loss", "train_loss_ma", "val_loss_ma"),
+              ((m.epoch, m.train_loss, m.val_loss, train_ma[i], val_ma[i])
+               for i, m in enumerate(metrics)))
     acc_path = os.path.join(args.out_dir, "accuracy.csv")
-    with open(acc_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("epoch", "val_accuracy", "val_accuracy_ma"))
-        for i, m in enumerate(metrics):
-            writer.writerow((m.epoch, m.val_accuracy, acc_ma[i]))
+    write_csv(acc_path, ("epoch", "val_accuracy", "val_accuracy_ma"),
+              ((m.epoch, m.val_accuracy, acc_ma[i]) for i, m in enumerate(metrics)))
     print(f"wrote {loss_path} and {acc_path} "
           f"({len(epochs)} epochs, window {args.window})")
     return 0

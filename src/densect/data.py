@@ -245,9 +245,13 @@ def synth_generate(n: int, out_dir: str, seed: int = 0,
         records.append(StudyRecord(patient_id=pid, volume_path=path,
                                    label_covid=covid, label_severe=severe))
         rows.append((pid, covid, severe))
-    csv_path = os.path.join(out_dir, "reference.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REFERENCE_HEADER)
-        writer.writerows(rows)
+    write_csv(os.path.join(out_dir, "reference.csv"), REFERENCE_HEADER, rows)
     return records
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write ``header`` then ``rows`` to ``path`` as CSV with ``\\n`` line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -55,6 +55,9 @@ class PreprocessConfig:
             raise ValueError(f"slice_policy must be one of {SLICE_POLICIES}, got {self.slice_policy!r}")
         if self.slice_index < 0:
             raise ValueError(f"slice_index must be >= 0, got {self.slice_index}")
+        if self.slice_index and self.slice_policy != "index":
+            raise ValueError(f"slice_index {self.slice_index} is read only when slice_policy "
+                             f"is 'index', got slice_policy {self.slice_policy!r}")
 
 
 @dataclass

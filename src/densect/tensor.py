@@ -30,8 +30,8 @@ column window, and computes all taps in one GEMM with the taps stacked on
 the output-channel side (after Anderson et al., arXiv:1709.03395, and MEC,
 arXiv:1706.06873). Its rule keeps the unpadded GEMM input (the input
 itself, or a strided conv's columns) and lays the flat padded rows out
-again in backward. The backward scatters a strided conv's column gradient
-back through the same taps.
+again in backward. A strided conv differentiates only its weight: in the
+model it is the stem, whose input is the image batch.
 
 The ops between the convolutions make few, long passes. Pooling's backward
 works in parity planes of the padded input, where every tap is a shifted
@@ -323,8 +323,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     GEMM. Its rule keeps only the GEMM's unpadded input, x itself (which the
     op before keeps anyway) or a strided conv's columns, and the weight;
     backward lays the input out as flat padded rows again for the weight
-    gradient, and a strided conv scatters its column gradient back through
-    the taps. Nothing is kept while recording is off.
+    gradient. A strided conv differentiates only its weight (the stem's input
+    is the image batch): one whose input requires grad is refused. Nothing is
+    kept while recording is off.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weight, got {x.data.shape} and {weight.data.shape}")
@@ -332,6 +333,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
+    if stride > 1 and x.requires_grad:
+        raise ValueError(f"conv2d: stride {stride} differentiates only the weight, "
+                         f"but the input requires grad")
     n, c, h, w = x.data.shape
     o, cw, kh, kw = weight.data.shape
     if cw != c:
@@ -347,7 +351,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     # the conv as a stride-1 conv of xs (N, cs, hs, ws), padded by ps, with a
     # (O, cs, khs, kws) kernel
-    xs, wts, ps, taps = x.data, weight.data, padding, None
+    xs, wts, ps = x.data, weight.data, padding
     if stride > 1:
         # row ci*kh*kw + t of the columns is tap t of channel ci
         taps = _taps(kh, kw, stride, h2, w2)
@@ -396,14 +400,6 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         if want_x:
             gx = np.matmul(w_taps.T, stacked_g)[:, :, :hp * wp].reshape(n, cs, hp, wp)
             gx = gx[:, :, ps:ps + hs, ps:ps + ws]
-            if taps is not None:
-                # taps in reverse order add to a shared position in window
-                # raster order, as in pool2d
-                gcols = gx.reshape(n, c, kh * kw, h2, w2)
-                gx = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-                for t in reversed(range(len(taps))):
-                    gx[taps[t]] += gcols[:, :, t]
-                gx = gx[:, :, padding:padding + h, padding:padding + w]
         return (gx, gw)
 
     return record((x, weight), out, rule)
@@ -550,14 +546,13 @@ def _pool_grad(g, shape, xd, out, k, s, p):
     return gx.reshape(n, c, h, w)
 
 
-def concat_channels(inputs: Sequence[Tensor], out: Optional[np.ndarray] = None) -> Tensor:
+def concat_channels(inputs: Sequence[Tensor], out: np.ndarray) -> Tensor:
     """Concatenate (N, Ci, H, W) tensors along the channel axis, in list order.
 
-    Without ``out`` the result is a new array. With ``out``, an
-    (N, sum Ci, H, W) array of the inputs' dtype, each input is written into
-    its channel slice of ``out``, which becomes the result's data; an input
-    that already is that slice (a dense block's features so far) is not
-    written. The rule keeps only the widths.
+    ``out`` is an (N, sum Ci, H, W) array of the inputs' dtype: each input is
+    written into its channel slice of ``out``, which becomes the result's
+    data; an input that already is that slice (a dense block's features so
+    far) is not written. The rule keeps only the widths.
     """
     if not inputs:
         raise ShapeError("concat_channels: empty input list")
@@ -571,19 +566,16 @@ def concat_channels(inputs: Sequence[Tensor], out: Optional[np.ndarray] = None) 
         if t.data.dtype != first.dtype:
             raise ShapeError("concat_channels: mixed dtypes")
     widths = [t.data.shape[1] for t in inputs]
-    if out is None:
-        out = np.concatenate([t.data for t in inputs], axis=1)
-    else:
-        want = (first.shape[0], sum(widths)) + first.shape[2:]
-        if out.shape != want or out.dtype != first.dtype:
-            raise ShapeError(f"concat_channels: out must be {want} {first.dtype}, "
-                             f"got {out.shape} {out.dtype}")
-        start = 0
-        for t, cw in zip(inputs, widths):
-            dst = out[:, start:start + cw]
-            if (_address(t.data), t.data.strides) != (_address(dst), dst.strides):
-                dst[...] = t.data
-            start += cw
+    want = (first.shape[0], sum(widths)) + first.shape[2:]
+    if out.shape != want or out.dtype != first.dtype:
+        raise ShapeError(f"concat_channels: out must be {want} {first.dtype}, "
+                         f"got {out.shape} {out.dtype}")
+    start = 0
+    for t, cw in zip(inputs, widths):
+        dst = out[:, start:start + cw]
+        if (_address(t.data), t.data.strides) != (_address(dst), dst.strides):
+            dst[...] = t.data
+        start += cw
 
     def rule(g):
         grads, start = [], 0

