@@ -19,9 +19,11 @@ every structural element at a tiny fraction of the cost.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -337,7 +339,7 @@ class DenseNetModel:
         tmp = path + ".tmp"
         try:
             with open(tmp, "wb") as f:
-                f.write(checkpoint_bytes(self))
+                _write_checkpoint(f, self)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -346,50 +348,87 @@ class DenseNetModel:
 
     @staticmethod
     def load_checkpoint(path: str, dtype=np.float32) -> "DenseNetModel":
+        """Load the checkpoint file at ``path``; every ``CheckpointError``
+        begins with ``{path}: ``."""
         with open(path, "rb") as f:
-            return model_from_checkpoint_bytes(f.read(), dtype=dtype)
+            st = os.fstat(f.fileno())
+            try:
+                if stat.S_ISREG(st.st_mode):
+                    return _read_checkpoint(f, st.st_size, dtype)
+                # a pipe has no size until it is read
+                return model_from_checkpoint_bytes(f.read(), dtype)
+            except CheckpointError as e:
+                raise CheckpointError(f"{path}: {e}") from None
 
 
 def checkpoint_bytes(model: DenseNetModel) -> bytes:
-    """Serialize config + full state. Sectioned little-endian binary:
+    """The bytes ``save_checkpoint`` writes for ``model``."""
+    f = io.BytesIO()
+    _write_checkpoint(f, model)
+    return f.getvalue()
+
+
+def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
+    """The model in checkpoint bytes ``buf``; the parser of ``load_checkpoint``."""
+    return _read_checkpoint(io.BytesIO(buf), len(buf), dtype)
+
+
+def _write_checkpoint(f, model: DenseNetModel):
+    """Serialize config + full state into binary stream ``f``. Sectioned
+    little-endian binary:
 
     magic(8) | u32 version | u32 config_len | config JSON (sorted keys) |
     u32 n_entries | entries. Each entry: u16 name_len | name utf-8 |
     u8 ndim | u32 * ndim dims | u64 payload_len | float32 LE payload.
+
+    A float32 payload is written from the state array's own buffer.
     """
     cfg_json = json.dumps(asdict(model.config), sort_keys=True).encode()
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-             struct.pack("<I", len(cfg_json)), cfg_json]
     state = model.named_state()
-    parts.append(struct.pack("<I", len(state)))
+    f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg_json)) + cfg_json
+            + struct.pack("<I", len(state)))
     for name, t in state:
         nb = name.encode()
-        payload = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        parts.append(struct.pack(f"<H{len(nb)}sB{t.ndim}IQ", len(nb), nb, t.ndim, *t.shape,
-                                 len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
+        payload = np.ascontiguousarray(t.data, dtype="<f4")
+        f.write(struct.pack(f"<H{len(nb)}sB{t.ndim}IQ", len(nb), nb, t.ndim, *t.shape,
+                            payload.nbytes))
+        f.write(memoryview(payload).cast("B"))
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf, self.pos = memoryview(buf), 0
+    """Reads a checkpoint of ``size`` bytes from binary stream ``f``. No read
+    goes past ``size``, so a read that comes back short is a truncation: of
+    the checkpoint, or of a stream that shrank since its size was taken."""
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
+    def __init__(self, f, size: int):
+        self.f, self.size, self.pos = f, size, 0
+
+    def _advance(self, n: int, have: int):
+        if have < n:
             raise CheckpointError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}")
-        out = self.buf[self.pos:self.pos + n]
+                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, have {have}")
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        out = self.f.read(min(n, self.size - self.pos))
+        self._advance(n, len(out))
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def read_into(self, arr: np.ndarray):
+        """Fill C-contiguous ``arr`` with the next ``arr.nbytes`` bytes."""
+        view = memoryview(arr).cast("B")
+        self._advance(len(view), self.f.readinto(view[:self.size - self.pos]))
 
-def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
-    r = _Reader(buf)
+
+def _read_checkpoint(f, size: int, dtype) -> DenseNetModel:
+    """Parse the checkpoint of ``size`` bytes in binary stream ``f``. A
+    float32 model reads each payload straight into its state array and
+    checks it there; any other dtype reads into a float32 scratch array and
+    converts."""
+    r = _Reader(f, size)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic: not a model checkpoint")
     (version,) = r.unpack("<I")
@@ -397,7 +436,7 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = r.unpack("<I")
     try:
-        cfg_dict = json.loads(bytes(r.take(cfg_len)).decode())
+        cfg_dict = json.loads(r.take(cfg_len).decode())
         cfg_dict["block_layers"] = tuple(cfg_dict["block_layers"])
         config = DenseNetConfig(**cfg_dict)
     except (ValueError, TypeError, KeyError) as e:
@@ -415,7 +454,7 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
         (name_len,) = r.unpack("<H")
         offset = r.pos
         try:
-            name = bytes(r.take(name_len)).decode()
+            name = r.take(name_len).decode()
         except UnicodeDecodeError as e:
             raise CheckpointError(
                 f"state entry name is not UTF-8: bad byte at offset {offset + e.start}") from None
@@ -432,7 +471,12 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
             raise CheckpointError(f"{name}: shape {dims} != model shape {target.shape}")
         if nbytes != math.prod(dims) * 4:
             raise CheckpointError(f"{name}: payload length {nbytes} inconsistent with shape {dims}")
-        arr = np.frombuffer(r.take(nbytes), dtype="<f4").reshape(dims)
+        direct = target.data.dtype == np.dtype("<f4")
+        arr = target.data if direct else np.empty(dims, dtype="<f4")
+        try:
+            r.read_into(arr)
+        except CheckpointError as e:
+            raise CheckpointError(f"{name}: {e}") from None
         finite = np.isfinite(arr)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -440,7 +484,8 @@ def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
         if name.endswith(".running_var") and arr.min() < 0:
             i = int(np.argmax(arr < 0))
             raise CheckpointError(f"{name}: negative running variance {arr.flat[i]} at flat index {i}")
-        target.data[...] = arr
-    if r.pos != len(buf):
-        raise CheckpointError(f"{len(buf) - r.pos} trailing bytes after state table")
+        if not direct:
+            target.data[...] = arr
+    if r.pos != size:
+        raise CheckpointError(f"{size - r.pos} trailing bytes after state table")
     return model

@@ -383,11 +383,14 @@ def test_predict_with_out_of_range_batchnorm_momentum_is_data_error(dataset, tra
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "describe"])
-@pytest.mark.parametrize("fault", ["input-size-16", "nan-weight", "negative-running-var"])
+@pytest.mark.parametrize("fault", ["input-size-16", "nan-weight", "negative-running-var",
+                                   "truncated"])
 def test_checkpoint_with_unusable_values_is_data_error(dataset, trained, tmp_path, capsys,
                                                        command, fault):
     buf = (trained / "final.ckpt").read_bytes()
-    if fault == "input-size-16":
+    if fault == "truncated":
+        buf = buf[:-3]    # inside the last payload, fc.bias's two floats
+    elif fault == "input-size-16":
         cfg_len = int.from_bytes(buf[12:16], "little")
         cfg = buf[16:16 + cfg_len].replace(b'"input_size": 32', b'"input_size": 16')
         assert len(cfg) == cfg_len and cfg != buf[16:16 + cfg_len]
@@ -407,10 +410,13 @@ def test_checkpoint_with_unusable_values_is_data_error(dataset, trained, tmp_pat
     code, out, err = run_cli(capsys, command, *args, "--checkpoint", str(ckpt))
     assert code == 2
     assert out == ""
+    assert err.startswith(f"error: {ckpt}: ")
     assert {"input-size-16": "input_size 16 leaves block4 an empty feature map",
             "nan-weight": "stem.conv.weight: non-finite value nan at flat index 5",
             "negative-running-var": "stem.bn.running_var: negative running variance -0.25 "
-                                    "at flat index 3"}[fault] in err
+                                    "at flat index 3",
+            "truncated": "fc.bias: truncated checkpoint: wanted 8 bytes at offset "
+                         f"{len(buf) - 5}, have 5"}[fault] in err
 
 
 def test_predict_missing_volume_is_data_error(trained, capsys):

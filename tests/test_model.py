@@ -7,8 +7,11 @@ below to the canonical published total for the 121-layer variant with a
 against that oracle, never against itself.
 """
 
+import contextlib
+import io
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -437,14 +440,6 @@ def test_checkpoint_reload_overwrites_every_entry():
             npt.assert_array_equal(b.data, a.data.astype(dtype), err_msg=name)
 
 
-def test_checkpoint_file_round_trip(tmp_path):
-    model = DenseNetModel(REDUCED, seed=2)
-    p = tmp_path / "model.ckpt"
-    model.save_checkpoint(str(p))
-    clone = DenseNetModel.load_checkpoint(str(p))
-    npt.assert_array_equal(clone.fc.weight.data, model.fc.weight.data)
-
-
 def test_checkpoint_write_failing_partway_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "final.ckpt"
     DenseNetModel(REDUCED, seed=2).save_checkpoint(str(path))
@@ -544,6 +539,112 @@ def test_mutated_checkpoint_loads_or_raises_checkpoint_error(data):
     except CheckpointError:
         return
     assert isinstance(model, DenseNetModel)
+
+
+def _error_text(load, *args) -> str:
+    with pytest.raises(CheckpointError) as info:
+        load(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("config", [REDUCED, DENSENET121, DENSENET169],
+                         ids=["reduced", "densenet121", "densenet169"])
+def test_checkpoint_file_and_bytes_agree(config, tmp_path):
+    # every entry moved off its allocated value, so an entry the file load
+    # skipped would show; the file path and the bytes path share one parser
+    # and one writer, so they must agree bit for bit
+    model = DenseNetModel.allocated(config)
+    rng = np.random.default_rng(5)
+    for _, t in model.named_state():
+        t.data[...] = rng.random(t.shape, dtype=np.float32) + 0.5
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(str(path))
+    assert path.read_bytes() == checkpoint_bytes(model)
+    for dtype in (np.float32, np.float64):
+        from_file = DenseNetModel.load_checkpoint(str(path), dtype)
+        from_bytes = model_from_checkpoint_bytes(path.read_bytes(), dtype)
+        assert from_file.config == model.config
+        for (name, a), (_, b), (_, c) in zip(model.named_state(), from_file.named_state(),
+                                             from_bytes.named_state()):
+            assert b.data.dtype == dtype, name
+            npt.assert_array_equal(b.data, a.data.astype(dtype), err_msg=name)
+            npt.assert_array_equal(b.data, c.data, err_msg=name)
+
+
+def test_every_cut_of_a_checkpoint_fails_alike_from_bytes_file_and_shrunk_stream(tmp_path):
+    # a file load adds only its path; a stream holding fewer bytes than the
+    # size the parser was given (a file that shrank after its size was
+    # taken) returns short from read and readinto, and fails as a
+    # checkpoint of the shorter length does
+    path = tmp_path / "cut.ckpt"
+    for cut in range(len(TINY_CHECKPOINT)):
+        expected = _error_text(model_from_checkpoint_bytes, TINY_CHECKPOINT[:cut])
+        path.write_bytes(TINY_CHECKPOINT[:cut])
+        assert _error_text(DenseNetModel.load_checkpoint, str(path)) == f"{path}: {expected}"
+        shrunk = io.BytesIO(TINY_CHECKPOINT[:cut])
+        assert _error_text(model_module._read_checkpoint, shrunk, len(TINY_CHECKPOINT),
+                           np.float32) == expected
+
+
+def test_a_truncated_payload_names_its_entry():
+    model = DenseNetModel(REDUCED, seed=0)
+    buf = checkpoint_bytes(model)
+    end = buf.index(b"stem.bn.gamma") - 2    # the end of the first entry's payload
+    wanted = model.stem_conv.weight.data.nbytes
+    with pytest.raises(CheckpointError, match=rf"^stem\.conv\.weight: truncated checkpoint: "
+                                              rf"wanted {wanted} bytes at offset {end - wanted}, "
+                                              rf"have {wanted - 3}$"):
+        model_from_checkpoint_bytes(buf[:end - 3])
+
+
+def test_trailing_bytes_in_a_checkpoint_file_are_refused_naming_the_file(tmp_path):
+    path = tmp_path / "long.ckpt"
+    path.write_bytes(TINY_CHECKPOINT + b"\x00" * 3)
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: 3 trailing bytes after state table$"):
+        DenseNetModel.load_checkpoint(str(path))
+
+
+def test_a_checkpoint_read_from_a_pipe_loads_as_from_bytes():
+    # a pipe has no size to stream against: it is read whole, then parsed
+    # by the same parser; TINY fits the pipe's buffer, so no writer thread
+    with _pipe_holding(TINY_CHECKPOINT) as path:
+        assert checkpoint_bytes(DenseNetModel.load_checkpoint(path)) == TINY_CHECKPOINT
+    expected = _error_text(model_from_checkpoint_bytes, TINY_CHECKPOINT[:-1])
+    with _pipe_holding(TINY_CHECKPOINT[:-1]) as path:
+        assert _error_text(DenseNetModel.load_checkpoint, path) == f"{path}: {expected}"
+
+
+@contextlib.contextmanager
+def _pipe_holding(data: bytes):
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+def test_checkpoint_file_io_holds_no_byte_image_of_the_file(tmp_path):
+    # tracemalloc counts numpy's buffers too, so these bounds are exact
+    # counts, not timings: a load holds the model's state and little else,
+    # and a save writes each array from its own buffer
+    model = DenseNetModel.allocated(DENSENET121)
+    path = str(tmp_path / "densenet121.ckpt")
+    state_bytes = sum(t.data.nbytes for _, t in model.named_state())
+    tracemalloc.start()
+    try:
+        model.save_checkpoint(path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        DenseNetModel.load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 2**20
+    assert load_peak <= state_bytes + 2**20
 
 
 def test_config_validation():
