@@ -96,7 +96,7 @@ def grad_check(fn: Callable[[], Tensor], inputs: Mapping[str, Tensor],
             raise ValueError(f"grad_check: input {name!r} must be float64, got {t.data.dtype}")
         t.zero_grad()
 
-    backward(fn())   # the graph is freed as soon as backward returns
+    backward(fn())   # backward frees the graph's arrays as it runs
     analytic = {}
     for name, t in checked.items():
         analytic[name] = (np.zeros_like(t.data) if t.grad is None else t.grad.copy()).reshape(-1)

@@ -12,7 +12,10 @@ backward rule keeps the arrays it reads, shapes and flags, so an activation
 no rule reads (a batch-norm output under its ReLU, a conv output a concat
 copied) is freed as soon as the forward drops it (after Pleiss et al.,
 arXiv:1707.06990). ``backward`` replays each node a gradient reaches once,
-newest first, from a max-heap on recording order.
+newest first, from a max-heap on recording order, and drops each rule once
+it has run: an activation is freed when the last rule that reads it has
+run, while the parameter gradients are still accumulating. So a graph is
+backpropagated once; a second backward needs a new forward.
 
 Tensor data is any numpy array, views included, and is never copied to make
 it contiguous. A dense block's features live in one buffer: each concat
@@ -64,7 +67,8 @@ class GeometryError(ValueError):
 
 
 class NoGraphError(RuntimeError):
-    """backward() was called on a tensor that no recorded operation produced."""
+    """backward() reached no graph to replay: no recorded operation produced
+    the tensor, or an earlier backward consumed the graph."""
 
 
 class DegenerateStatsError(ValueError):
@@ -95,8 +99,8 @@ _grad_enabled = True
 
 
 def reset_tape():
-    """No-op: graphs are freed with their loss. Kept because the benchmark
-    harness (perfbench/workloads.py) still imports it."""
+    """No-op: backward frees a graph's arrays, and its loss the rest. Kept
+    because the benchmark harness (perfbench/workloads.py) still imports it."""
 
 
 class no_grad:
@@ -183,9 +187,10 @@ def record(inputs: Sequence[Tensor], out_data: np.ndarray,
     outside this module. An op records the same input tuple on every call;
     ``backward_rule(grad_out)`` must return one gradient per input, in that
     input's shape, or None for an input that needs none. The node keeps each
-    input's source, not the input: a rule that closes over an input tensor
-    keeps that tensor's data alive until the loss dies, so a rule should
-    close over only the arrays it reads.
+    input's source, not the input. An array the rule closes over lives until
+    backward has run the rule or the loss dies, whichever comes first; a rule
+    that closes over an input tensor keeps all of that tensor's data that
+    long, so a rule should close over only the arrays it reads.
     """
     req = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=req)
@@ -199,13 +204,19 @@ def record(inputs: Sequence[Tensor], out_data: np.ndarray,
 def backward(loss: Tensor):
     """Accumulate dLoss/dLeaf into every requires_grad leaf reachable from loss.
 
-    Repeated calls without zero_grad accumulate. Gradients of intermediate
-    tensors are transient; only leaves keep a ``grad`` buffer.
+    Leaf gradients accumulate across graphs until zero_grad. Gradients of
+    intermediate tensors are transient; only leaves keep a ``grad`` buffer.
 
     One pass: nodes pop from a max-heap on ``seq``, starting at the loss, and a
     node is pushed when a gradient first reaches it. Each push has a smaller
     ``seq`` than the node just popped, so every node runs once, after all its
     consumers, summing their gradients in descending consumer ``seq``.
+
+    Each node's rule is dropped once it has run, with the arrays it kept, so
+    a graph is consumed once. Backward on a loss whose graph was consumed
+    raises NoGraphError before it writes any gradient. A loss that shares a
+    node with a consumed graph raises NoGraphError when backward reaches that
+    node, after the gradients of the newer nodes have been written.
     """
     if loss.node is None:
         raise NoGraphError("backward: tensor was not produced by a recorded operation "
@@ -217,7 +228,11 @@ def backward(loss: Tensor):
     heap = [(-loss.node.seq, loss.node)]
     while heap:
         node = heapq.heappop(heap)[1]
+        if node.backward_rule is None:
+            raise NoGraphError("backward: an earlier backward consumed this graph; "
+                               "run the forward again")
         grads = node.backward_rule(pending.pop(node))
+        node.backward_rule = None
         for src, gt in zip(node.inputs, grads):
             if gt is None or src is None:
                 continue

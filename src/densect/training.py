@@ -37,15 +37,18 @@ class IncompleteGradientError(TrainingError):
 
 
 class DivergenceError(TrainingError):
-    """The loss became non-finite; carries where, and the metrics so far."""
+    """The loss, or the gradient of the parameter named ``parameter``, became
+    non-finite; carries where, and the metrics so far."""
 
     def __init__(self, epoch: int, batch_index: int, value: float,
-                 metrics: list["EpochMetrics"]):
+                 metrics: list["EpochMetrics"], parameter: Optional[str] = None):
+        what = "loss" if parameter is None else f"gradient of {parameter}"
         super().__init__(
-            f"loss diverged to {value} at epoch {epoch}, batch {batch_index}")
+            f"{what} diverged to {value} at epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
         self.metrics = metrics
+        self.parameter = parameter
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +273,9 @@ def train(records: Sequence[StudyRecord], config: TrainConfig, out_dir: str,
     checkpoint_every epochs, and final.ckpt at the end. ``on_epoch`` is
     called with each epoch's metrics once its row and checkpoint are
     written. With stop_accuracy set, training halts early once validation
-    joint accuracy reaches it.
+    joint accuracy reaches it. A non-finite loss, or a non-finite gradient
+    after backward, raises DivergenceError before Adam runs; it names the
+    parameter, and the rows and checkpoints already written stay.
 
     A trailing batch containing a single study is skipped: batch statistics
     are undefined for one sample once the feature map reaches 1x1. The
@@ -297,7 +302,8 @@ def train(records: Sequence[StudyRecord], config: TrainConfig, out_dir: str,
             "training studies or a larger target size")
     os.makedirs(out_dir, exist_ok=True)
     model = DenseNetModel(model_config, seed=config.seed)
-    params = model.parameters()
+    named_params = model.named_parameters()
+    params = [p for _, p in named_params]
     state = AdamState.for_params(params)
     cache: dict = {}
     metrics: list[EpochMetrics] = []
@@ -318,8 +324,14 @@ def train(records: Sequence[StudyRecord], config: TrainConfig, out_dir: str,
                 if not np.isfinite(value):
                     raise DivergenceError(epoch, b_index, value, metrics)
                 backward(loss)
+                # backward freed the activations; the emptied graph is dropped
+                # before the check and Adam allocate, which trims the heap less
+                del logits, loss
+                for name, p in named_params:
+                    if not np.isfinite(p.grad).all():
+                        bad = p.grad[~np.isfinite(p.grad)][0]
+                        raise DivergenceError(epoch, b_index, bad, metrics, parameter=name)
                 adam_step(params, state, config.lr)
-                del logits, loss   # frees this step's graph before the next forward
                 batch_losses.append(value)
             train_loss = float(np.mean(batch_losses))
             ev = evaluate(model, val_records, config.preprocess,

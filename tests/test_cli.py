@@ -548,6 +548,36 @@ def test_divergence_after_finished_epochs_has_printed_their_lines(dataset, tmp_p
                    "epoch 2: train_loss=0.1250 val_loss=0.5000 val_accuracy=1.0000\n")
 
 
+def test_non_finite_gradient_is_exit_three_and_names_the_parameter(dataset, tmp_path, capsys,
+                                                                   monkeypatch):
+    import densect.training as training_module
+
+    models = []
+
+    class RecordedModel(training_module.DenseNetModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    real_backward = training_module.backward
+
+    def backward_then_nan(loss):
+        real_backward(loss)
+        dict(models[0].named_parameters())["trans1.conv.weight"].grad[0, 0, 0, 0] = np.nan
+
+    monkeypatch.setattr(training_module, "DenseNetModel", RecordedModel)
+    monkeypatch.setattr(training_module, "backward", backward_then_nan)
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "train", "--data", str(dataset), "--out", str(out),
+                                "--preset", "reduced", "--target-size", "32",
+                                "--batch-size", "4", "--epochs", "2")
+    assert code == 3
+    assert err == ("error: gradient of trans1.conv.weight diverged to nan "
+                   "at epoch 1, batch 0\n")
+    assert stdout == ""
+    assert not (out / "final.ckpt").exists()
+
+
 # ---------------------------------------------------------------- train / evaluate
 
 def test_train_reports_epochs_and_writes_artifacts(trained, capsys):

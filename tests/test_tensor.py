@@ -958,41 +958,53 @@ def test_backward_never_visits_a_graph_the_loss_cannot_reach():
 
 def test_graph_is_dropped_with_the_loss():
     # no cycle holds the graph: reference counting alone frees the
-    # activations, without the cyclic collector's help
-    x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
-    hidden = relu(relu(x))
-    loss = project(hidden, 1.0)
-    held = weakref.ref(hidden.data)
-    del hidden
+    # activations, without the cyclic collector's help. Dropping the loss
+    # frees a graph backward never ran; backward frees what each rule kept
+    # as soon as the rule has run, while the loss is still alive
     gc.disable()
     try:
-        assert held() is not None      # the loss keeps its graph alive
-        backward(loss)
-        assert held() is not None      # ...also after backward
-        del loss
-        assert held() is None
+        for run_backward in (False, True):
+            x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
+            hidden = relu(relu(x))
+            loss = project(hidden, 1.0)
+            held = weakref.ref(hidden.data)
+            del hidden
+            assert held() is not None      # the loss keeps its graph alive
+            if run_backward:
+                backward(loss)
+                assert held() is None      # ...until backward has run its rules
+            del loss
+            assert held() is None
     finally:
         gc.enable()
 
 
-def _reduced_train_loss(monkeypatch, held):
+def _root_ref(a):
+    # a weak reference to the buffer that owns the memory of array a
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return weakref.ref(a)
+
+
+def _reduced_train_loss(monkeypatch, held, relu_outputs=None):
     # a REDUCED float32 training forward at batch 4 and 32 px to its loss;
     # every relu in the model is fed a batch-norm output: a weak reference
     # to each one's root buffer is returned, and with ``held`` a list the
-    # outputs are also kept alive in it
+    # outputs are also kept alive in it. With ``relu_outputs`` a list, a
+    # weak reference to each relu output's root buffer is appended to it
     import densect.model as model_module
     from densect.training import bce_with_logits
 
     bn_outputs = []
 
     def relu_watched(x):
-        root = x.data
-        while isinstance(root.base, np.ndarray):
-            root = root.base
-        bn_outputs.append(weakref.ref(root))
+        bn_outputs.append(_root_ref(x.data))
         if held is not None:
             held.append(x)
-        return relu(x)
+        out = relu(x)
+        if relu_outputs is not None:
+            relu_outputs.append(_root_ref(out.data))
+        return out
 
     monkeypatch.setattr(model_module, "relu", relu_watched)
     rng = np.random.default_rng(17)
@@ -1034,6 +1046,59 @@ def test_training_graph_keeps_no_activation_backward_does_not_read(monkeypatch):
         npt.assert_array_equal(p.grad, q.grad)
 
 
+def test_backward_frees_every_activation_while_the_loss_lives(monkeypatch):
+    # after backward, with the loss alive and no help from the cyclic
+    # collector, every batch-norm output, relu output and batch-norm input
+    # (a dense block's feature buffer among them) of a REDUCED step is freed
+    import densect.model as model_module
+
+    bn_inputs, relu_outputs = [], []
+
+    def batchnorm_watched(x, *args, **kwargs):
+        bn_inputs.append(_root_ref(x.data))
+        return batchnorm2d(x, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "batchnorm2d", batchnorm_watched)
+    gc.disable()
+    try:
+        net, loss, bn_outputs = _reduced_train_loss(monkeypatch, None, relu_outputs)
+        assert len(relu_outputs) == len(bn_inputs) == len(bn_outputs) == 17
+        assert all(ref() is not None for ref in relu_outputs + bn_inputs)   # the graph keeps them
+        backward(loss)
+        assert loss.node is not None
+        assert all(ref() is None for ref in bn_outputs + relu_outputs + bn_inputs)
+    finally:
+        gc.enable()
+
+
+def test_backward_peak_stays_below_forward_memory_plus_gradients():
+    # a float32 DenseNet-121 train step at 64 px, batch 2, traced above the
+    # model: backward frees activations while the parameter gradients
+    # accumulate, so its peak stays below what the forward left plus the
+    # gradients. Keeping every activation until the loss dies exceeds this
+    # bound by about 2 MiB here; freeing them leaves about 13 MiB under it.
+    import tracemalloc
+
+    from densect.model import DENSENET121, DenseNetModel
+    from densect.training import bce_with_logits
+
+    rng = np.random.default_rng(5)
+    net = DenseNetModel(replace(DENSENET121, input_size=64), seed=0)
+    images = rng.random((2, 1, 64, 64), dtype=np.float32)
+    labels = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    tracemalloc.start()
+    try:
+        loss = bce_with_logits(net.forward(Tensor(images), training=True), labels)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gradients = sum(p.grad.nbytes for p in net.parameters())
+    assert peak < after_forward + gradients
+
+
 def test_no_grad_suppresses_recording():
     x = Tensor(np.ones(2), requires_grad=True)
     with no_grad():
@@ -1058,14 +1123,38 @@ def test_backward_requires_scalar():
 
 
 def test_gradients_accumulate_until_zeroed():
+    # each graph is consumed by its backward; a leaf's gradient accumulates
+    # across graphs built from it
     x = Tensor(np.array([2.0]), requires_grad=True)
-    y = project(x, 4.0)
-    backward(y)
+    backward(project(x, 4.0))
     npt.assert_allclose(x.grad, [4.0])
-    backward(y)
+    backward(project(x, 4.0))
     npt.assert_allclose(x.grad, [8.0])
     x.zero_grad()
     assert x.grad is None
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    x = Tensor(np.array([2.0, -1.0, 0.5]), requires_grad=True)
+    loss = project(relu(x), 3.0)
+    backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(NoGraphError, match="earlier backward consumed"):
+        backward(loss)
+    assert x.grad.tobytes() == first.tobytes()
+
+
+def test_a_loss_sharing_a_consumed_node_raises_when_backward_reaches_it():
+    x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    y = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+    hidden = relu(x)
+    backward(project(hidden, 1.0))
+    joined = T.record((hidden, y), hidden.data + y.data, lambda g: (g, g))
+    with pytest.raises(NoGraphError, match="earlier backward consumed"):
+        backward(project(joined, 3.0))
+    # the newer node ran before backward reached the consumed one
+    npt.assert_array_equal(y.grad, [3.0, 3.0])
+    npt.assert_array_equal(x.grad, [1.0, 0.0])
 
 
 def test_diamond_graph_sums_both_paths():

@@ -538,6 +538,51 @@ def test_train_divergence_raises_with_location(tmp_path, synth_dir):
     assert "diverged" in str(exc.value)
 
 
+def test_non_finite_gradient_stops_training_before_adam_and_names_it(tmp_path, synth_dir,
+                                                                     monkeypatch):
+    # training's backward, then a NaN into one element of a gradient on the
+    # first step of epoch 2; the parameters' values at that moment are kept
+    import densect.training as training_module
+
+    clean = tmp_path / "clean"
+    train(synth_dir, small_train_config(epochs=1), str(clean))
+    models, values, finished = [], {}, []
+
+    class RecordedModel(DenseNetModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    real_backward = training_module.backward
+
+    def backward_then_nan(loss):
+        real_backward(loss)
+        if finished and not values:
+            named = dict(models[0].named_parameters())
+            named["block1.layer1.conv2.weight"].grad.reshape(-1)[3] = np.nan
+            values.update((n, p.data.copy()) for n, p in named.items())
+
+    monkeypatch.setattr(training_module, "DenseNetModel", RecordedModel)
+    monkeypatch.setattr(training_module, "backward", backward_then_nan)
+    out = tmp_path / "run"
+    with pytest.raises(DivergenceError) as exc:
+        train(synth_dir, small_train_config(epochs=3), str(out), on_epoch=finished.append)
+    assert str(exc.value) == ("gradient of block1.layer1.conv2.weight diverged to nan "
+                              "at epoch 2, batch 0")
+    assert (exc.value.parameter, exc.value.epoch, exc.value.batch_index) == \
+        ("block1.layer1.conv2.weight", 2, 0)
+    # Adam wrote nothing: every parameter keeps its value and its gradient
+    for name, p in models[0].named_parameters():
+        npt.assert_array_equal(p.data, values[name])
+        assert p.grad is not None
+    # epoch 1's row and checkpoint stay as a clean run writes them, and
+    # nothing after them is written
+    assert [m.epoch for m in exc.value.metrics] == [1]
+    assert sorted(os.listdir(out)) == ["epoch0001.ckpt", "metrics.csv"]
+    for artifact in ("metrics.csv", "epoch0001.ckpt"):
+        assert (out / artifact).read_bytes() == (clean / artifact).read_bytes()
+
+
 def test_on_epoch_runs_as_each_epoch_ends(tmp_path, synth_dir):
     # epoch e's callback sees e rows in metrics.csv and its checkpoint, and
     # runs before final.ckpt is written
