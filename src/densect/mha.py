@@ -11,8 +11,8 @@ Reading copies each voxel byte once. The header is parsed from a prefix read,
 grown until the ElementDataFile line turns up; then the native-order voxel
 array is allocated, a raw payload is read straight into it (byteswapped in
 place when stored big-endian), and a zlib payload is inflated chunk by chunk,
-each piece copied into it, never past the size the header gives. ``read_mha`` (bytes)
-and ``read_mha_file`` (a path) share this one decoder over a binary stream.
+each piece copied into it, never past the size the header gives.
+``read_mha_file`` is the one reader: it runs this decoder over the open file.
 
 Parsing is total: any byte input produces either a Volume or one of the
 structured errors below — never an unhandled crash. Only the single-file
@@ -314,17 +314,6 @@ def _read(f) -> Volume:
     return Volume(header=header, voxels=voxels.reshape(header.dim_size[::-1]))
 
 
-def read_mha(data: bytes) -> Volume:
-    """Decode one .mha byte buffer into a Volume.
-
-    Raises MalformedHeaderError / UnsupportedTypeError / UnsupportedVariantError /
-    TruncatedPayloadError; see module docstring for the accepted grammar.
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError(f"read_mha expects bytes, got {type(data).__name__}")
-    return _read(io.BytesIO(bytes(data)))
-
-
 def _fmt_floats(vals) -> str:
     return " ".join(repr(float(v)) for v in vals)
 
@@ -377,8 +366,11 @@ def write_mha(volume: Volume, compress: bool = False) -> bytes:
 
 
 def read_mha_file(path: str) -> Volume:
-    """Decode the .mha file at ``path``; the same result and errors as
-    ``read_mha`` on its bytes."""
+    """Decode the .mha file at ``path`` into a Volume.
+
+    Raises MalformedHeaderError / UnsupportedTypeError / UnsupportedVariantError /
+    TruncatedPayloadError; see module docstring for the accepted grammar.
+    """
     with open(path, "rb") as f:
         return _read(f)
 

@@ -329,8 +329,6 @@ class DenseNetModel:
         stages.append(("fc", logits.shape))
         return logits, stages
 
-    __call__ = forward
-
     # -- checkpointing -----------------------------------------------------
 
     def save_checkpoint(self, path: str):
@@ -359,13 +357,6 @@ class DenseNetModel:
                 return model_from_checkpoint_bytes(f.read(), dtype)
             except CheckpointError as e:
                 raise CheckpointError(f"{path}: {e}") from None
-
-
-def checkpoint_bytes(model: DenseNetModel) -> bytes:
-    """The bytes ``save_checkpoint`` writes for ``model``."""
-    f = io.BytesIO()
-    _write_checkpoint(f, model)
-    return f.getvalue()
 
 
 def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:

@@ -43,8 +43,9 @@ Training batch norm sums with einsum and scales with gamma/sqrt(var+eps)
 folded into one factor. ReLU's backward multiplies g by a float mask taken
 from its own output, which the next op keeps anyway.
 
-Default element type is float32; pass ``dtype=np.float64`` when building
-tensors for finite-difference verification.
+A tensor keeps float32 and float64 data as given and converts any other
+dtype to float32; a float64 graph is what finite-difference checks
+differentiate.
 """
 
 from __future__ import annotations
@@ -121,22 +122,20 @@ class no_grad:
 class Tensor:
     """An n-dimensional float array, optionally tracked for autograd.
 
-    ``data`` is the array given (converted only if its dtype must change), so
-    a strided view of a larger buffer stays a view and is never made
-    contiguous. ``grad`` stays None until backward() populates it; tensors
-    with ``requires_grad=False`` never receive a grad buffer. ``node`` is the
-    recorded operation that produced this tensor (None for leaves).
+    ``data`` is the array given (converted to float32 only if it is neither
+    float32 nor float64), so a strided view of a larger buffer stays a view
+    and is never made contiguous. ``grad`` stays None until backward()
+    populates it; tensors with ``requires_grad=False`` never receive a grad
+    buffer. ``node`` is the recorded operation that produced this tensor
+    (None for leaves).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        else:
-            arr = np.asarray(data)
-            if arr.dtype not in (np.float32, np.float64):
-                arr = arr.astype(DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -163,9 +162,6 @@ class Tensor:
             raise ValueError(f"item() expects a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def reshape(self, *shape) -> "Tensor":
         src_shape = self.data.shape
         out = self.data.reshape(shape)
@@ -174,9 +170,6 @@ class Tensor:
             return (g.reshape(src_shape),)
 
         return record((self,), out, rule)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -204,8 +197,9 @@ def record(inputs: Sequence[Tensor], out_data: np.ndarray,
 def backward(loss: Tensor):
     """Accumulate dLoss/dLeaf into every requires_grad leaf reachable from loss.
 
-    Leaf gradients accumulate across graphs until zero_grad. Gradients of
-    intermediate tensors are transient; only leaves keep a ``grad`` buffer.
+    Leaf gradients accumulate across graphs until the caller sets ``grad``
+    to None, as ``adam_step`` does. Gradients of intermediate tensors are
+    transient; only leaves keep a ``grad`` buffer.
 
     One pass: nodes pop from a max-heap on ``seq``, starting at the loss, and a
     node is pushed when a gradient first reaches it. Each push has a smaller
@@ -338,9 +332,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     GEMM. Its rule keeps only the GEMM's unpadded input, x itself (which the
     op before keeps anyway) or a strided conv's columns, and the weight;
     backward lays the input out as flat padded rows again for the weight
-    gradient. A strided conv differentiates only its weight (the stem's input
-    is the image batch): one whose input requires grad is refused. Nothing is
-    kept while recording is off.
+    gradient and stacks the weight's taps again for the input gradient (for
+    a kxk kernel that is a copy, which the rule does not keep). A strided
+    conv differentiates only its weight (the stem's input is the image
+    batch): one whose input requires grad is refused. Nothing is kept while
+    recording is off.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weight, got {x.data.shape} and {weight.data.shape}")
@@ -413,6 +409,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             gw = gw.reshape(o, c, kh, kw)
         gx = None
         if want_x:
+            w_taps = wts.transpose(2, 3, 0, 1).reshape(khs * kws * o, cs)
             gx = np.matmul(w_taps.T, stacked_g)[:, :, :hp * wp].reshape(n, cs, hp, wp)
             gx = gx[:, :, ps:ps + hs, ps:ps + ws]
         return (gx, gw)

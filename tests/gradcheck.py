@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .tensor import Tensor, backward, no_grad
+from densect.tensor import Tensor, backward, no_grad
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -94,7 +94,7 @@ def grad_check(fn: Callable[[], Tensor], inputs: Mapping[str, Tensor],
     for name, t in checked.items():
         if t.data.dtype != np.float64:
             raise ValueError(f"grad_check: input {name!r} must be float64, got {t.data.dtype}")
-        t.zero_grad()
+        t.grad = None
 
     backward(fn())   # backward frees the graph's arrays as it runs
     analytic = {}

@@ -16,8 +16,7 @@ import pytest
 
 from densect.cli import main
 from densect.data import synth_generate
-from densect.gradcheck import grad_check
-from densect.mha import MhaError, Volume, read_mha, write_mha
+from densect.mha import MhaError, Volume, write_mha
 from densect.model import (
     DENSENET121,
     DENSENET169,
@@ -38,6 +37,8 @@ from densect.tensor import (
     relu,
 )
 from densect.training import TrainConfig, bce_with_logits, train
+from bytes_io import read_mha
+from gradcheck import grad_check
 from oracles import avgpool_ref, conv2d_ref, maxpool_ref, param_count_ref
 from projection import project
 
@@ -102,8 +103,8 @@ def test_criterion_1_gradient_checks():
             xb = Tensor(rng.normal(size=(3, 4, 5, 5)), requires_grad=True)
             gamma = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
             beta = Tensor(rng.normal(size=4), requires_grad=True)
-            rm = Tensor(np.zeros(4), dtype=np.float64)
-            rv = Tensor(np.ones(4), dtype=np.float64)
+            rm = Tensor(np.zeros(4))
+            rv = Tensor(np.ones(4))
             rb = rng.normal(size=(3, 4, 5, 5))
             _assert_grads(
                 lambda: project(batchnorm2d(xb, gamma, beta, rm, rv, training=True), rb),
@@ -134,7 +135,7 @@ def test_criterion_1_gradient_checks():
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             model = DenseNetModel(REDUCED, seed=seed, dtype=np.float64)
-            xc = Tensor(rng.standard_normal((2, 1, 32, 32)), dtype=np.float64)
+            xc = Tensor(rng.standard_normal((2, 1, 32, 32)))
             probe = rng.standard_normal((2, 2))
             report = grad_check(
                 lambda: project(model.forward(xc, training=True), probe),

@@ -14,10 +14,11 @@ import densect
 from densect import cli
 from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
 from densect.mha import Volume, read_mha_file, write_mha_file
-from densect.model import (DENSENET121, REDUCED, DenseNetModel, checkpoint_bytes,
-                           feature_map_plan, model_from_checkpoint_bytes)
+from densect.model import (DENSENET121, REDUCED, DenseNetModel, feature_map_plan,
+                           model_from_checkpoint_bytes)
 from densect.training import (DivergenceError, EpochMetrics, EvalResult, PatientEval,
                               TrainConfig, metrics_from_csv)
+from bytes_io import checkpoint_bytes
 
 
 @pytest.fixture(scope="module")

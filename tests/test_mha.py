@@ -28,11 +28,11 @@ from densect.mha import (
     UnsupportedTypeError,
     UnsupportedVariantError,
     Volume,
-    read_mha,
     read_mha_file,
     to_hounsfield,
     write_mha,
 )
+from bytes_io import read_mha
 
 MINIMAL = (b"ObjectType = Image\n"
            b"NDims = 3\n"

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densect.gradcheck import grad_check
 import densect.model as model_module
 from densect.model import (
     CheckpointError,
@@ -29,7 +28,6 @@ from densect.model import (
     REDUCED,
     DenseNetConfig,
     DenseNetModel,
-    checkpoint_bytes,
     count_connections,
     feature_map_plan,
     model_from_checkpoint_bytes,
@@ -37,6 +35,8 @@ from densect.model import (
 )
 from densect.tensor import Tensor, backward, concat_channels, no_grad, record
 from densect.training import bce_with_logits
+from bytes_io import checkpoint_bytes
+from gradcheck import grad_check
 from oracles import param_count_ref
 from projection import project
 
@@ -298,7 +298,7 @@ def test_training_forward_updates_running_stats_eval_does_not():
 
 def test_reduced_model_gradients_sampled():
     model = DenseNetModel(REDUCED, seed=3, dtype=np.float64)
-    x = Tensor(np.random.default_rng(4).standard_normal((2, 1, 32, 32)), dtype=np.float64)
+    x = Tensor(np.random.default_rng(4).standard_normal((2, 1, 32, 32)))
 
     def loss():
         return project(model.forward(x, training=True), model_probe)
@@ -331,7 +331,7 @@ def _copying_block_call(block, x, training):
 
 def _train_step(dtype):
     model = DenseNetModel(REDUCED, seed=11, dtype=dtype)
-    x = Tensor(np.random.default_rng(12).standard_normal((4, 1, 32, 32)), dtype=dtype)
+    x = Tensor(np.random.default_rng(12).standard_normal((4, 1, 32, 32)).astype(dtype))
     loss = bce_with_logits(model.forward(x, training=True), np.eye(2)[[0, 1, 1, 0]])
     backward(loss)
     return loss.data, model
@@ -351,7 +351,7 @@ def test_feature_buffer_block_is_bit_identical_to_copying_concat(dtype, monkeypa
         else:
             npt.assert_array_equal(t.data, r.data, err_msg=name)
     for n in (1, 3):
-        x = Tensor(np.random.default_rng(n).standard_normal((n, 1, 32, 32)), dtype=dtype)
+        x = Tensor(np.random.default_rng(n).standard_normal((n, 1, 32, 32)).astype(dtype))
         with no_grad():
             logits = model.forward(x).data
             with monkeypatch.context() as m:

@@ -8,6 +8,7 @@ central finite differences through the grad_check harness.
 """
 
 import ast
+import collections
 import gc
 import inspect
 import weakref
@@ -21,7 +22,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densect import tensor as T
-from densect.gradcheck import grad_check
 from densect.tensor import (
     DegenerateStatsError,
     GeometryError,
@@ -38,6 +38,7 @@ from densect.tensor import (
     relu,
     stable_sigmoid,
 )
+from gradcheck import grad_check
 from oracles import avgpool_ref, conv2d_ref, maxpool_ref
 from projection import project
 
@@ -149,8 +150,8 @@ def test_conv2d_kernel_larger_than_input():
 def test_conv2d_gradients(stride, padding):
     # a strided conv differentiates only its weight
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((2, 2, 6, 5)), requires_grad=stride == 1, dtype=np.float64)
-    w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+    x = Tensor(rng.standard_normal((2, 2, 6, 5)), requires_grad=stride == 1)
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     inputs = {"x": x, "w": w} if stride == 1 else {"w": w}
     report = grad_check(lambda: project(conv2d(x, w, stride=stride, padding=padding), 1.0),
                         inputs)
@@ -174,8 +175,8 @@ def check_conv2d_against_reference(x_shape, w_shape, stride, padding):
     differentiates only its weight)."""
     rng = np.random.default_rng(sum(x_shape) + 3 * sum(w_shape) + stride + padding)
     xd, wd = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
-    x = Tensor(xd, requires_grad=stride == 1, dtype=np.float64)
-    w = Tensor(wd, requires_grad=True, dtype=np.float64)
+    x = Tensor(xd, requires_grad=stride == 1)
+    w = Tensor(wd, requires_grad=True)
     out = conv2d(x, w, stride=stride, padding=padding)
     npt.assert_allclose(out.data, conv2d_ref(xd, wd, stride=stride, padding=padding),
                         rtol=1e-12, atol=1e-12)
@@ -228,7 +229,8 @@ def test_conv2d_property_matches_reference(n, c, o, h, w, kh, kw, stride, paddin
 
 
 def test_conv2d_3x3_keeps_no_array_larger_than_its_input():
-    # the flat padded rows are laid out again in backward, not kept
+    # the flat padded rows and the tap-stacked weight are laid out again in
+    # backward, not kept: every kept array is x's or the weight's
     n, c, h, w, padding = 2, 4, 5, 6, 1
     x = Tensor(np.random.default_rng(1).standard_normal((n, c, h, w)), requires_grad=True)
     wt = Tensor(np.ones((3, c, 3, 3)), requires_grad=True)
@@ -242,6 +244,7 @@ def test_conv2d_3x3_keeps_no_array_larger_than_its_input():
             elif isinstance(item, np.ndarray):
                 kept.append(item)
     assert kept and max(a.size for a in kept) <= x.size
+    assert all(np.shares_memory(a, x.data) or np.shares_memory(a, wt.data) for a in kept)
 
 
 def test_conv2d_1x1_keeps_a_view_of_its_input_not_a_copy():
@@ -330,7 +333,7 @@ def test_avgpool_gradient_matches_window_loop_bit_for_bit(stride, padding):
     # kernel 3 windows overlap at both strides, so up to nine float32 shares
     # meet at one position, summed in window raster order
     rng = np.random.default_rng(stride * 3 + padding)
-    xt = Tensor(rng.standard_normal((2, 3, 9, 8)), requires_grad=True, dtype=np.float32)
+    xt = Tensor(rng.standard_normal((2, 3, 9, 8)).astype(np.float32), requires_grad=True)
     out = pool2d(xt, "average", kernel=3, stride=stride, padding=padding)
     g = rng.standard_normal(out.shape).astype(np.float32)
     backward(project(out, g))
@@ -353,7 +356,7 @@ def test_pool_gradients_match_window_loops_bit_for_bit(data, kernel, stride, dty
     x = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.0], dtype=dtype), size=(n, c, h, w))
     uint = np.uint32 if dtype == np.float32 else np.uint64
     for mode in ("max", "average"):
-        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        xt = Tensor(x, requires_grad=True)
         out = pool2d(xt, mode, kernel=kernel, stride=stride, padding=padding)
         g = rng.standard_normal(out.shape).astype(dtype)
         g[rng.random(g.shape) < 0.2] = -0.0
@@ -371,8 +374,8 @@ def test_pool_gradients_match_window_loops_bit_for_bit(data, kernel, stride, dty
 def test_relu_and_max_pool_retain_no_mask_or_index():
     # relu rebuilds its mask from its output, max pool its argmax from the
     # input and the output
-    x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True,
-               dtype=np.float32)
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)).astype(np.float32),
+               requires_grad=True)
     for out in (relu(x), pool2d(x, "max", kernel=3, stride=2, padding=1)):
         kept = [cell.cell_contents for cell in out.node.backward_rule.__closure__
                 if isinstance(cell.cell_contents, np.ndarray)]
@@ -382,8 +385,8 @@ def test_relu_and_max_pool_retain_no_mask_or_index():
 def test_max_pool_keeps_no_padded_copy_of_its_input():
     # the rule finds the argmax again from the input and the output; the
     # -inf padded copy the forward pools over is not kept
-    x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)), requires_grad=True,
-               dtype=np.float32)
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 6, 6)).astype(np.float32),
+               requires_grad=True)
     out = pool2d(x, "max", kernel=3, stride=2, padding=1)
     cells = [cell.cell_contents for cell in out.node.backward_rule.__closure__]
     kept = [v.data if isinstance(v, Tensor) else v for v in cells
@@ -403,8 +406,8 @@ def test_average_pools_keep_only_shapes(mode):
 def test_batchnorm_retains_no_array_but_a_view_of_its_input(training):
     # both modes rebuild x-hat in backward from the input the rule holds;
     # reading an unassigned cell raises ValueError
-    x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 4, 4)), requires_grad=True,
-               dtype=np.float32)
+    x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 4, 4)).astype(np.float32),
+               requires_grad=True)
     params = [Tensor(np.full(3, v, dtype=np.float32), requires_grad=grad)
               for v, grad in ((1.5, True), (0.2, True), (0.1, False), (2.0, False))]
     out = batchnorm2d(x, *params, training=training)
@@ -446,7 +449,7 @@ def test_pool_geometry_errors():
 ])
 def test_pool_gradients(mode, kernel, stride, padding):
     rng = np.random.default_rng(17)
-    x = Tensor(_well_separated(rng, (2, 2, 6, 6)), requires_grad=True, dtype=np.float64)
+    x = Tensor(_well_separated(rng, (2, 2, 6, 6)), requires_grad=True)
     report = grad_check(
         lambda: project(pool2d(x, mode, kernel=kernel, stride=stride, padding=padding), 1.0),
         {"x": x})
@@ -491,7 +494,7 @@ def test_sigmoid_extreme_inputs_no_overflow():
 def test_relu_gradient():
     rng = np.random.default_rng(6)
     vals = (rng.uniform(0.1, 1.0, 30) * rng.choice([-1.0, 1.0], 30))
-    x = Tensor(vals, requires_grad=True, dtype=np.float64)
+    x = Tensor(vals, requires_grad=True)
     r = rng.standard_normal(30)
     report = grad_check(lambda: project(relu(x), r), {"x": x})
     assert report.passed, report.summary()
@@ -512,9 +515,9 @@ def test_linear_matches_reference():
 
 def test_linear_gradients():
     rng = np.random.default_rng(10)
-    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True, dtype=np.float64)
-    w = Tensor(rng.standard_normal((2, 5)), requires_grad=True, dtype=np.float64)
-    b = Tensor(rng.standard_normal(2), requires_grad=True, dtype=np.float64)
+    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
     r = rng.standard_normal((3, 2))
     report = grad_check(lambda: project(linear(x, w, b), r), {"x": x, "w": w, "b": b})
     assert report.passed, report.summary()
@@ -687,8 +690,8 @@ _INVALID_OPERANDS = {
     "concat-batch-mismatch": (lambda: concat_channels([Tensor(_X4), Tensor(_X4[:1])],
                                                      out=np.zeros((2, 4, 4, 4))),
                               ShapeError, "concat_channels: batch/spatial mismatch"),
-    "concat-mixed-dtypes": (lambda: concat_channels([Tensor(_X4, dtype=np.float32),
-                                                     Tensor(_X4, dtype=np.float64)],
+    "concat-mixed-dtypes": (lambda: concat_channels([Tensor(_X4.astype(np.float32)),
+                                                     Tensor(_X4)],
                                                     out=np.zeros((2, 4, 4, 4), dtype=np.float32)),
                             ShapeError, "concat_channels: mixed dtypes"),
     "batchnorm-3d-input": (lambda: batchnorm2d(Tensor(_X4[0]), *_batchnorm_args()),
@@ -745,9 +748,9 @@ def test_batchnorm_training_normalizes_batch():
 
 def test_batchnorm_running_stats_frozen_update():
     # batch [1,2,3,4]: mean 2.5, biased var 1.25, unbiased 1.25*4/3
-    x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1, 1), dtype=np.float64)
-    gamma, beta = Tensor(np.ones(1), dtype=np.float64), Tensor(np.zeros(1), dtype=np.float64)
-    rm, rv = Tensor(np.zeros(1), dtype=np.float64), Tensor(np.ones(1), dtype=np.float64)
+    x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1, 1))
+    gamma, beta = Tensor(np.ones(1)), Tensor(np.zeros(1))
+    rm, rv = Tensor(np.zeros(1)), Tensor(np.ones(1))
     batchnorm2d(x, gamma, beta, rm, rv, momentum=0.1, training=True)
     npt.assert_allclose(rm.data, [0.25], rtol=1e-12)
     npt.assert_allclose(rv.data, [0.9 + 0.1 * (1.25 * 4 / 3)], rtol=1e-12)
@@ -800,10 +803,10 @@ def test_batchnorm_training_matches_textbook_formula(shape, dtype, tol):
     c = shape[1]
     xd = rng.standard_normal(shape) * 3 + 1.5
     gd, gammad, betad = rng.standard_normal(shape), rng.uniform(0.5, 2, c), rng.standard_normal(c)
-    x = Tensor(xd, requires_grad=True, dtype=dtype)
-    gamma = Tensor(gammad, requires_grad=True, dtype=dtype)
-    beta = Tensor(betad, requires_grad=True, dtype=dtype)
-    rm, rv = Tensor(np.zeros(c), dtype=dtype), Tensor(np.ones(c), dtype=dtype)
+    x = Tensor(xd.astype(dtype), requires_grad=True)
+    gamma = Tensor(gammad.astype(dtype), requires_grad=True)
+    beta = Tensor(betad.astype(dtype), requires_grad=True)
+    rm, rv = Tensor(np.zeros(c, dtype)), Tensor(np.ones(c, dtype))
     out = batchnorm2d(x, gamma, beta, rm, rv, momentum=0.25, training=True)
     backward(project(out, gd))
     want, dx, dgamma, dbeta, mu, var_unbiased = batchnorm_train_ref(
@@ -826,9 +829,9 @@ def test_batchnorm_eval_matches_textbook_formula(shape):
     gammad, betad = rng.uniform(0.5, 2, c), rng.standard_normal(c)
     rmd, rvd = rng.standard_normal(c), rng.uniform(0.2, 3.0, c)
     f32 = np.float32
-    x = Tensor(xd, requires_grad=True, dtype=f32)
-    gamma, beta = Tensor(gammad, requires_grad=True, dtype=f32), Tensor(betad, requires_grad=True, dtype=f32)
-    rm, rv = Tensor(rmd, dtype=f32), Tensor(rvd, dtype=f32)
+    x = Tensor(xd.astype(f32), requires_grad=True)
+    gamma, beta = Tensor(gammad.astype(f32), requires_grad=True), Tensor(betad.astype(f32), requires_grad=True)
+    rm, rv = Tensor(rmd.astype(f32)), Tensor(rvd.astype(f32))
     out = batchnorm2d(x, gamma, beta, rm, rv, training=False)
     backward(project(out, gd))
     x64, gamma64, beta64, rm64, rv64, g64 = (a.astype(np.float32).astype(np.float64)
@@ -851,10 +854,10 @@ def test_batchnorm_eval_output_keeps_its_bits(shape, dtype):
     # these numpy operations, so inference outputs do not move
     rng = np.random.default_rng(shape[1] * 10 + shape[3])
     n, c, h, w = shape
-    x = Tensor(rng.standard_normal(shape) * 3 + 1.5, dtype=dtype)
-    gamma = Tensor(rng.uniform(0.5, 2, c), dtype=dtype)
-    beta = Tensor(rng.standard_normal(c), dtype=dtype)
-    rm, rv = Tensor(rng.standard_normal(c), dtype=dtype), Tensor(rng.uniform(0.2, 3.0, c), dtype=dtype)
+    x = Tensor((rng.standard_normal(shape) * 3 + 1.5).astype(dtype))
+    gamma = Tensor(rng.uniform(0.5, 2, c).astype(dtype))
+    beta = Tensor(rng.standard_normal(c).astype(dtype))
+    rm, rv = Tensor(rng.standard_normal(c).astype(dtype)), Tensor(rng.uniform(0.2, 3.0, c).astype(dtype))
     out = batchnorm2d(x, gamma, beta, rm, rv, training=False)
 
     x3 = x.data.reshape(n, c, h * w)
@@ -871,14 +874,14 @@ def test_batchnorm_eval_gradient_ignores_a_later_buffer_update():
     rng = np.random.default_rng(8)
     c = 3
     xd = rng.standard_normal((2, c, 4, 4))
-    gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True, dtype=np.float64)
-    beta = Tensor(rng.standard_normal(c), requires_grad=True, dtype=np.float64)
-    rm = Tensor(rng.standard_normal(c), dtype=np.float64)
-    rv = Tensor(rng.uniform(0.5, 2.0, c), dtype=np.float64)
+    gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
+    beta = Tensor(rng.standard_normal(c), requires_grad=True)
+    rm = Tensor(rng.standard_normal(c))
+    rv = Tensor(rng.uniform(0.5, 2.0, c))
     r = rng.standard_normal(xd.shape)
 
     def grads(update_between):
-        x = Tensor(xd, requires_grad=True, dtype=np.float64)
+        x = Tensor(xd, requires_grad=True)
         rm_t, rv_t = Tensor(rm.data.copy()), Tensor(rv.data.copy())
         loss = project(batchnorm2d(x, gamma, beta, rm_t, rv_t, training=False), r)
         if update_between:
@@ -886,7 +889,7 @@ def test_batchnorm_eval_gradient_ignores_a_later_buffer_update():
                 batchnorm2d(Tensor(rng.standard_normal(xd.shape) * 5 + 3), gamma, beta,
                             rm_t, rv_t, momentum=1.0, training=True)
             assert not np.allclose(rm_t.data, rm.data)
-        gamma.zero_grad(), beta.zero_grad()
+        gamma.grad = beta.grad = None
         backward(loss)
         return x.grad, gamma.grad, beta.grad
 
@@ -898,11 +901,11 @@ def test_batchnorm_eval_gradient_ignores_a_later_buffer_update():
 def test_batchnorm_gradients(training):
     rng = np.random.default_rng(21)
     c = 3
-    x = Tensor(rng.standard_normal((4, c, 3, 3)), requires_grad=True, dtype=np.float64)
-    gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True, dtype=np.float64)
-    beta = Tensor(rng.standard_normal(c), requires_grad=True, dtype=np.float64)
-    rm = Tensor(rng.standard_normal(c), dtype=np.float64)
-    rv = Tensor(rng.uniform(0.5, 2.0, c), dtype=np.float64)
+    x = Tensor(rng.standard_normal((4, c, 3, 3)), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
+    beta = Tensor(rng.standard_normal(c), requires_grad=True)
+    rm = Tensor(rng.standard_normal(c))
+    rv = Tensor(rng.uniform(0.5, 2.0, c))
     # a fixed random weighting keeps dL/dx entries O(1); a plain sum of the
     # training-mode output has an x gradient that cancels to zero
     r = rng.standard_normal((4, c, 3, 3))
@@ -1130,8 +1133,9 @@ def test_gradients_accumulate_until_zeroed():
     npt.assert_allclose(x.grad, [4.0])
     backward(project(x, 4.0))
     npt.assert_allclose(x.grad, [8.0])
-    x.zero_grad()
-    assert x.grad is None
+    x.grad = None
+    backward(project(x, 4.0))
+    npt.assert_allclose(x.grad, [4.0])
 
 
 def test_second_backward_through_a_consumed_graph_raises():
@@ -1171,7 +1175,7 @@ def test_contributions_sum_newest_consumer_first():
     # y feeds three consumers; its gradient is (k3 + k2) + k1 in float32, in
     # descending consumer seq, before relu passes it to x
     rng = np.random.default_rng(14)
-    x = Tensor(rng.uniform(1.0, 2.0, 256), requires_grad=True, dtype=np.float32)
+    x = Tensor(rng.uniform(1.0, 2.0, 256).astype(np.float32), requires_grad=True)
     ks = [rng.standard_normal(256).astype(np.float32) for _ in range(3)]
     y = relu(x)
     a, b, c = (project(y, k) for k in ks)
@@ -1203,22 +1207,25 @@ def test_non_requires_grad_leaf_never_gets_grad():
     npt.assert_allclose(x.grad, [3.0, 4.0])
 
 
-def test_default_dtype_and_override():
+def test_tensor_keeps_float32_and_float64_and_converts_the_rest():
     assert Tensor([1, 2, 3]).dtype == np.float32
-    assert Tensor([1.0], dtype=np.float64).dtype == np.float64
+    assert Tensor(np.zeros(2, dtype=np.float16)).dtype == np.float32
+    assert Tensor([1.0]).dtype == np.float64
+    view = np.zeros((2, 6), dtype=np.float32)[:, ::2]
+    assert Tensor(view).data is view
     assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
     assert Tensor(np.zeros(2)).data.flags["C_CONTIGUOUS"]
 
 
 def test_grad_check_rejects_float32():
-    x = Tensor(np.ones(2), requires_grad=True, dtype=np.float32)
+    x = Tensor(np.ones(2, np.float32), requires_grad=True)
     with pytest.raises(ValueError, match="float64"):
         grad_check(lambda: project(x, 1.0), {"x": x})
 
 
 def test_grad_check_flags_wrong_gradient():
     # a deliberately wrong backward rule must be caught
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
 
     def bad_square():
         out = x.data * x.data
@@ -1233,21 +1240,51 @@ def test_grad_check_flags_wrong_gradient():
 # package surface
 
 
-def test_tensor_module_holds_only_what_the_program_runs():
-    # every public function of tensor.py is imported by another package
-    # module or by the benchmark harness, Tensor has no arithmetic, and the
-    # dense block's append into its feature buffer is the only concat
+def _public_definitions(tree):
+    # (name, node) of each public module-level function and each public
+    # method of a public module-level class
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names_used(tree):
+    # every name a tree reads, as a variable, an attribute or an import
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_package_holds_only_what_the_program_runs():
+    # every public function and method in src/densect is named by the
+    # package or the benchmark harness outside its own definition; every
+    # public function of tensor.py is imported by another package module or
+    # by the harness, Tensor has no arithmetic, and the dense block's append
+    # into its feature buffer is the only concat
     root = Path(__file__).resolve().parents[1]
-    callers = [p for p in (root / "src" / "densect").glob("*.py") if p.name != "tensor.py"]
-    callers += [p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    imported = {alias.name for p in callers for node in ast.walk(ast.parse(p.read_text()))
+    package = sorted((root / "src" / "densect").glob("*.py"))
+    harness = [p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    trees = {p: ast.parse(p.read_text()) for p in package + harness}
+    used = sum((_names_used(t) for t in trees.values()), collections.Counter())
+    unused = [f"{p.stem}.{qualname}" for p in package for qualname, node in _public_definitions(trees[p])
+              if used[node.name] == _names_used(node)[node.name]]
+    assert unused == []
+
+    callers = [p for p in package if p.name != "tensor.py"] + harness
+    imported = {alias.name for p in callers for node in ast.walk(trees[p])
                 if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "densect.tensor")
                 for alias in node.names}
     public = {name for name, f in vars(T).items()
               if inspect.isfunction(f) and f.__module__ == T.__name__ and not name.startswith("_")}
     assert public - imported == set()
-    deleted = {"__add__", "__sub__", "__mul__", "__radd__", "__rmul__", "__neg__", "sum", "backward"}
+    deleted = {"__add__", "__sub__", "__mul__", "__radd__", "__rmul__", "__neg__", "sum", "backward",
+               "__repr__"}
     assert deleted.isdisjoint(vars(Tensor))
+    assert "dtype" not in inspect.signature(Tensor).parameters
     out = inspect.signature(concat_channels).parameters["out"]
     assert out.default is inspect.Parameter.empty
     calls = {f"{node.func.value.id}.{node.func.attr}"

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densect.data import StudyRecord, load_study_image, synth_generate
-from densect.gradcheck import grad_check
 from densect.model import REDUCED, DenseNetModel
 from densect.preprocess import PreprocessConfig
 from densect.tensor import ShapeError, Tensor, backward
@@ -38,6 +37,7 @@ from densect.training import (
     predict,
     train,
 )
+from gradcheck import grad_check
 
 CFG32 = PreprocessConfig(target_size=32)
 
@@ -187,7 +187,7 @@ def adam_step_out_of_place(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 def test_adam_in_place_is_bit_identical_to_out_of_place(dtype):
     rng = np.random.default_rng(4)
     shapes = [(3, 4, 3, 3), (5,), (2, 7)]
-    params = [Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype) for s in shapes]
+    params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
     ref = [Tensor(p.data.copy(), requires_grad=True) for p in params]
     state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
     for _ in range(5):
