@@ -59,9 +59,9 @@ def _optional_float(raw: str) -> Optional[float]:
 # ``preprocess``, then every PreprocessConfig field
 _DEFAULTS = asdict(TrainConfig())
 _DEFAULTS |= _DEFAULTS.pop("preprocess")
-# key -> (converter, default); the one default of None (stop_accuracy) marks
-# an optional float
-_SCHEMA = {key: (_optional_float if default is None else type(default), default)
+# key -> converter; the one default of None (stop_accuracy) marks an
+# optional float
+_SCHEMA = {key: _optional_float if default is None else type(default)
            for key, default in _DEFAULTS.items()}
 _PREPROCESS_KEYS = [f.name for f in fields(PreprocessConfig)]
 # what evaluate and predict take: the checkpoint fixes target_size
@@ -90,7 +90,7 @@ def _read_config_file(path: str, command: str, keys: Sequence[str]) -> dict:
             raise UsageError(f"{path}:{line_no}: {command} takes no setting {key!r}")
         if key in values:
             raise UsageError(f"{path}:{line_no}: duplicate setting {key!r}")
-        convert = _SCHEMA[key][0]
+        convert = _SCHEMA[key]
         try:
             values[key] = convert(raw)
         except ValueError:
@@ -125,7 +125,7 @@ def _add_setting_flags(p: argparse.ArgumentParser, keys: Sequence[str]):
     p.set_defaults(setting_keys=tuple(keys))
     p.add_argument("--config", default=argparse.SUPPRESS, help="key=value settings file")
     for key in keys:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key][0],
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key],
                        default=argparse.SUPPRESS)
 
 
@@ -185,8 +185,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     settings, model = _resolve_with_checkpoint(args)
-    volume = to_hounsfield(read_mha_file(args.input))
-    image = preprocess(volume, _preprocess_config(settings))
+    hounsfield = to_hounsfield(read_mha_file(args.input))
+    image = preprocess(hounsfield, _preprocess_config(settings))
     batch = image.pixels[None, None, :, :]
     probs, labels = predict(model, batch, threshold=settings["threshold"])
     print(f"prob_covid={probs[0, 0]:.4f} prob_severe={probs[0, 1]:.4f} "

@@ -7,9 +7,9 @@ says otherwise; a ``CompressedData = True`` payload is a single zlib/DEFLATE
 stream. Voxels are stored x-fastest; in memory they are kept in the reversed
 (…, z, y, x) C-order layout so ``voxels[k]`` is an axial slice of a 3-D scan.
 
-Reading copies each voxel byte once. The header is parsed from a prefix read,
-grown until the ElementDataFile line turns up; then the native-order voxel
-array is allocated, a raw payload is read straight into it (byteswapped in
+Reading copies each voxel byte once. The header is read one line at a time
+up to the ElementDataFile line; then the native-order voxel array is
+allocated, a raw payload is read straight into it (byteswapped in
 place when stored big-endian), and a zlib payload is inflated chunk by chunk,
 each piece copied into it, never past the size the header gives.
 ``read_mha_file`` is the one reader: it runs this decoder over the open file.
@@ -22,7 +22,6 @@ are rejected explicitly.
 
 from __future__ import annotations
 
-import copy
 import io
 import math
 import zlib
@@ -49,7 +48,6 @@ _CONSUMED_KEYS = frozenset({"ObjectType", "NDims", "DimSize", "ElementType", "El
 _MAX_NDIMS = 16
 _MAX_HEADER_FIELDS = 256  # header fields before ElementDataFile, read or written
 _MAX_VOXEL_BYTES = 1 << 33  # refuse to allocate more than 8 GiB from a header
-_HEADER_READ = 4096  # first header read in bytes; grown until ElementDataFile is found
 _INFLATE_CHUNK = 1 << 18  # compressed bytes handed to zlib per read
 
 
@@ -174,45 +172,30 @@ def _parse_line(text: str) -> tuple[str, str]:
     return key, value
 
 
-def _split_header(data: bytes):
-    """Parse (key, value) pairs up to the ElementDataFile line; return them
-    with the payload's offset in ``data``, or None if ``data`` ends first."""
+def _read_header(f):
+    """Parse (key, value) pairs from the start of binary stream ``f``, one
+    line at a time, up to the ElementDataFile line; return them with the
+    payload's offset."""
     fields: dict[str, str] = {}
-    pos = 0
     while True:
-        nl = data.find(b"\n", pos)
-        if nl < 0:
-            return None
-        line = data[pos:nl]
-        pos = nl + 1
-        if line.endswith(b"\r"):
-            line = line[:-1]
+        start = f.tell()
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise MalformedHeaderError("header ended without an ElementDataFile line")
         try:
-            text = line.decode("ascii")
+            text = line[:-1].removesuffix(b"\r").decode("ascii")
         except UnicodeDecodeError:
             raise MalformedHeaderError(
-                f"non-ASCII bytes in header line at offset {pos - len(line) - 1}") from None
+                f"non-ASCII bytes in header line at offset {start}") from None
         key, value = _parse_line(text)
         if key in fields:
             raise MalformedHeaderError(f"duplicate header key {key!r}")
         fields[key] = value
         if key == "ElementDataFile":
-            return fields, pos
+            return fields, f.tell()
         if len(fields) > _MAX_HEADER_FIELDS:
             raise MalformedHeaderError(
                 f"more than {_MAX_HEADER_FIELDS} header fields before ElementDataFile")
-
-
-def _read_header(f):
-    """Parse the header at the start of binary stream ``f`` from a prefix
-    read, grown until the ElementDataFile line or the end of the stream."""
-    data = f.read(_HEADER_READ)
-    while (parsed := _split_header(data)) is None:
-        more = f.read(len(data))  # doubles the prefix; b"" at the end
-        if not more:
-            raise MalformedHeaderError("header ended without an ElementDataFile line")
-        data += more
-    return parsed
 
 
 def _parse_fields(fields: dict[str, str]) -> tuple[MhaHeader, np.dtype]:
@@ -376,8 +359,11 @@ def read_mha_file(path: str) -> Volume:
 
 
 def write_mha_file(path: str, volume: Volume, compress: bool = False):
+    """Write ``volume`` to ``path``; a volume ``write_mha`` refuses leaves
+    the path as it was."""
+    data = write_mha(volume, compress=compress)
     with open(path, "wb") as f:
-        f.write(write_mha(volume, compress=compress))
+        f.write(data)
 
 
 def _rescale_value(raw: dict, key: str, default: float) -> float:
@@ -393,9 +379,10 @@ def _rescale_value(raw: dict, key: str, default: float) -> float:
     return values[0]
 
 
-def to_hounsfield(volume: Volume) -> Volume:
-    """Float32 copy of the volume, applying RescaleSlope/RescaleIntercept if
-    present; each must hold exactly one number that is finite as float32.
+def to_hounsfield(volume: Volume) -> np.ndarray:
+    """The volume's voxels as a new float32 array in Hounsfield units,
+    applying RescaleSlope/RescaleIntercept if present; each must hold exactly
+    one number that is finite as float32.
 
     The cast is fused into the first float32 operation of vox*slope + intercept,
     so the output is written in one pass, or two when there is a slope.
@@ -410,8 +397,4 @@ def to_hounsfield(volume: Volume) -> Volume:
         vox = np.add(volume.voxels, np.float32(intercept), dtype=np.float32)
     else:
         vox = volume.voxels.astype(np.float32)  # no +0.0 here: -0.0 voxels stay -0.0
-    header = copy.deepcopy(volume.header)
-    header.element_type = "MET_FLOAT"
-    header.raw_fields.pop("RescaleSlope", None)
-    header.raw_fields.pop("RescaleIntercept", None)
-    return Volume(header=header, voxels=vox)
+    return vox

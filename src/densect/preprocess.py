@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mha import Volume
-
 SLICE_POLICIES = ("middle-axial", "index", "max-mean-intensity")
 MIN_CROP_EXTENT = 8
 
@@ -67,9 +65,9 @@ class ProcessedImage:
     pixels: np.ndarray
 
 
-def select_slice(volume: Volume, policy: str = "middle-axial", index: int = 0) -> np.ndarray:
-    """Pick one axial (y, x) slice from a 3-D volume; every pixel must be finite."""
-    vox = volume.voxels
+def select_slice(vox: np.ndarray, policy: str = "middle-axial", index: int = 0) -> np.ndarray:
+    """Pick one axial (y, x) slice, as a float64 copy, from a (z, y, x) voxel
+    array; every pixel must be finite."""
     if vox.ndim != 3:
         raise ValueError(f"select_slice expects a 3-D volume, got {vox.ndim}-D")
     depth = vox.shape[0]
@@ -150,9 +148,10 @@ def clip_normalize(image: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (np.clip(img, lo, hi) - lo) / (hi - lo)
 
 
-def preprocess(volume: Volume, config: PreprocessConfig) -> ProcessedImage:
-    """Run the full pipeline; stage failures surface as PreprocessError naming
-    the stage (the caller names the study)."""
+def preprocess(voxels: np.ndarray, config: PreprocessConfig) -> ProcessedImage:
+    """Run the full pipeline on a (z, y, x) voxel array in Hounsfield units;
+    stage failures surface as PreprocessError naming the stage (the caller
+    names the study)."""
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -160,7 +159,7 @@ def preprocess(volume: Volume, config: PreprocessConfig) -> ProcessedImage:
         except (ValueError, IndexError) as e:
             raise PreprocessError(name, str(e)) from e
 
-    image = stage("select_slice", select_slice, volume,
+    image = stage("select_slice", select_slice, voxels,
                   config.slice_policy, config.slice_index)
     image = stage("resample", resample, image, config.target_size)
     cropped = stage("crop", crop, image, config.crop_fraction)

@@ -387,8 +387,7 @@ def test_criterion_9_describe_and_full_size_preprocess(capsys):
 
         rng = np.random.default_rng(0)
         scan = rng.integers(-1024, 1600, size=(20, 512, 512)).astype(np.int16)
-        volume = Volume.from_array(scan)
-        image = preprocess(volume, PreprocessConfig())
+        image = preprocess(scan, PreprocessConfig())
         assert image.pixels.shape == (224, 224)
         assert image.pixels.dtype == np.float32
         assert image.pixels.min() >= 0.0 and image.pixels.max() <= 1.0

@@ -5,13 +5,17 @@ corner-aligned interpolation; the vectorized implementation is checked
 against it on random images before anything else relies on it.
 """
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densect.mha import Volume
+import densect.preprocess
 from densect.preprocess import (
     DegenerateCropError,
     PreprocessConfig,
@@ -40,10 +44,6 @@ def bilinear_ref(img, target):
             bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
             out[i, j] = top * (1 - fy) + bot * fy
     return out
-
-
-def volume_of(arr):
-    return Volume.from_array(np.ascontiguousarray(arr))
 
 
 # ---------------------------------------------------------------- resample
@@ -119,7 +119,7 @@ def ramp_volume(depth, h=6, w=5):
     vox = np.zeros((depth, h, w), dtype=np.int16)
     for z in range(depth):
         vox[z] = z
-    return volume_of(vox)
+    return vox
 
 
 def test_middle_axial_of_depth_40_is_slice_20():
@@ -145,13 +145,13 @@ def test_max_mean_intensity_picks_brightest():
     vox = np.zeros((8, 4, 4), dtype=np.float32)
     vox[5] = 100.0
     vox[5, 0, 0] = -50.0  # still the brightest mean
-    out = select_slice(volume_of(vox), "max-mean-intensity")
+    out = select_slice(vox, "max-mean-intensity")
     npt.assert_array_equal(out, vox[5].astype(np.float64))
 
 
 def test_select_slice_needs_3d():
     with pytest.raises(ValueError, match="3-D"):
-        select_slice(volume_of(np.zeros((4, 4), dtype=np.int16)))
+        select_slice(np.zeros((4, 4), dtype=np.int16))
 
 
 def test_depth_one_volume_works_under_every_policy():
@@ -168,10 +168,10 @@ def test_a_non_finite_pixel_in_the_selected_slice_is_a_select_slice_error(bad):
     vox[2, 3, 4] = vox[2, 5, 0] = bad
     vox[0, 0, 0] = np.nan   # outside the selected slice: not looked at
     with pytest.raises(PreprocessError, match=r"slice 2 .* at \(y, x\) = \(3, 4\)") as exc:
-        preprocess(volume_of(vox), PreprocessConfig(target_size=16))
+        preprocess(vox, PreprocessConfig(target_size=16))
     assert exc.value.stage == "select_slice"
-    clean = preprocess(volume_of(vox), PreprocessConfig(target_size=16, slice_policy="index",
-                                                        slice_index=4))
+    clean = preprocess(vox, PreprocessConfig(target_size=16, slice_policy="index",
+                                             slice_index=4))
     assert np.isfinite(clean.pixels).all()
 
 
@@ -180,7 +180,7 @@ def test_select_slice_returns_float64_copy():
     out = select_slice(vol, "middle-axial")
     assert out.dtype == np.float64
     out[0, 0] = 999.0
-    assert vol.voxels[2, 0, 0] == 2  # original untouched
+    assert vol[2, 0, 0] == 2  # original untouched
 
 
 # ---------------------------------------------------------------- crop
@@ -258,8 +258,7 @@ def test_clip_normalize_rejects_empty_window():
 
 def ct_like_volume(depth=12, h=64, w=64, seed=0):
     rng = np.random.default_rng(seed)
-    vox = rng.integers(-1000, 400, size=(depth, h, w)).astype(np.int16)
-    return volume_of(vox)
+    return rng.integers(-1000, 400, size=(depth, h, w)).astype(np.int16)
 
 
 def test_preprocess_shape_dtype_and_range():
@@ -292,7 +291,7 @@ def test_preprocess_window_spanning_data_hits_exact_endpoints():
     vox[1, 0, 0] = -1000
     vox[1, -1, -1] = 400
     cfg = PreprocessConfig(target_size=32, clip_lo=-1000.0, clip_hi=400.0)
-    out = preprocess(volume_of(vox), cfg)
+    out = preprocess(vox, cfg)
     assert out.pixels.min() == 0.0
     assert out.pixels.max() == 1.0
 
@@ -331,7 +330,7 @@ def test_preprocess_follows_a_non_default_config():
 
 def test_stage_errors_carry_stage_name():
     with pytest.raises(PreprocessError, match="select_slice"):
-        preprocess(volume_of(np.zeros((4, 4), dtype=np.int16)),
+        preprocess(np.zeros((4, 4), dtype=np.int16),
                    PreprocessConfig(target_size=16))
     bad_index = PreprocessConfig(target_size=16, slice_policy="index",
                                  slice_index=99)
@@ -383,6 +382,15 @@ def test_pipeline_always_lands_in_unit_box(depth, h, w, frac, seed):
     rng = np.random.default_rng(seed)
     vox = rng.integers(-2000, 2000, size=(depth, h, w)).astype(np.int16)
     cfg = PreprocessConfig(target_size=16, crop_fraction=frac)
-    out = preprocess(volume_of(vox), cfg)
+    out = preprocess(vox, cfg)
     assert out.pixels.shape == (16, 16)
     assert 0.0 <= out.pixels.min() and out.pixels.max() <= 1.0
+
+
+def test_preprocess_imports_no_densect_module():
+    # the stages take a bare voxel array, so preprocessing needs no other
+    # part of the package
+    tree = ast.parse(Path(densect.preprocess.__file__).read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [line for line in imports if re.match(r"(from|import) (\.|densect\b)", line)] == []
