@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict, astuple, fields
 from typing import Optional, Sequence
 
-from .data import DataError, load_reference, synth_generate, write_csv
+from .data import DataError, ItemError, load_reference, synth_generate, write_csv
 from .mha import MhaError, read_mha_file, to_hounsfield
 from .model import CheckpointError, DenseNetModel, count_connections, feature_map_plan, weighted_layer_count
 from .preprocess import PreprocessConfig, PreprocessError, preprocess
@@ -185,8 +185,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     settings, model = _resolve_with_checkpoint(args)
-    hounsfield = to_hounsfield(read_mha_file(args.input))
-    image = preprocess(hounsfield, _preprocess_config(settings))
+    try:
+        image = preprocess(to_hounsfield(read_mha_file(args.input)), _preprocess_config(settings))
+    except (MhaError, PreprocessError, OSError) as e:
+        raise ItemError(args.input, str(e)) from e
     batch = image.pixels[None, None, :, :]
     probs, labels = predict(model, batch, threshold=settings["threshold"])
     print(f"prob_covid={probs[0, 0]:.4f} prob_severe={probs[0, 1]:.4f} "

@@ -14,13 +14,14 @@ patient id, so callers can report exactly which study broke.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mha import MhaError, Volume, read_mha_file, to_hounsfield, write_mha_file
+from .mha import MhaError, Volume, read_mha_file, to_hounsfield, write_mha_file, write_whole
 from .preprocess import PreprocessConfig, PreprocessError, preprocess
 
 REFERENCE_HEADER = ("PatientID", "probCOVID", "probSevere")
@@ -250,8 +251,8 @@ def synth_generate(n: int, out_dir: str, seed: int = 0,
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write ``header`` then ``rows`` to ``path`` as CSV with ``\\n`` line ends."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Replace ``path`` whole with ``header`` then ``rows`` as UTF-8 CSV with ``\\n``
+    line ends; a failed write leaves the previous file and no ``.tmp``."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    write_whole(path, lambda f: f.write(text.getvalue().encode()))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -358,12 +359,26 @@ def read_mha_file(path: str) -> Volume:
         return _read(f)
 
 
+def write_whole(path: str, write) -> None:
+    """The package's one file writer: ``write(f)`` fills ``path + ".tmp"`` opened
+    ``"wb"``, which then replaces ``path`` whole; on any error the temporary is
+    removed and the error re-raised, so ``path`` keeps its previous bytes."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_mha_file(path: str, volume: Volume, compress: bool = False):
-    """Write ``volume`` to ``path``; a volume ``write_mha`` refuses leaves
-    the path as it was."""
+    """Replace ``path`` whole with ``volume`` (``write_whole``); a volume
+    ``write_mha`` refuses leaves the path as it was and creates nothing."""
     data = write_mha(volume, compress=compress)
-    with open(path, "wb") as f:
-        f.write(data)
+    write_whole(path, lambda f: f.write(data))
 
 
 def _rescale_value(raw: dict, key: str, default: float) -> float:

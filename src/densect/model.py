@@ -30,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .mha import write_whole
 from .tensor import (
     Tensor,
     _conv_out_size,
@@ -332,17 +333,9 @@ class DenseNetModel:
     # -- checkpointing -----------------------------------------------------
 
     def save_checkpoint(self, path: str):
-        """Write to a temporary file beside ``path``, then rename it over
-        ``path``, so a failed write leaves any earlier checkpoint intact."""
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as f:
-                _write_checkpoint(f, self)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        """Stream the checkpoint into ``path`` through ``write_whole``, so a
+        failed write leaves any earlier checkpoint intact and no ``.tmp``."""
+        write_whole(path, lambda f: _write_checkpoint(f, self))
 
     @staticmethod
     def load_checkpoint(path: str, dtype=np.float32) -> "DenseNetModel":

@@ -1,8 +1,8 @@
 """Training loop, Adam, the two-head BCE objective, and evaluation.
 
 The model emits two logits per study (positive, severe); both heads train
-jointly against a single mean binary-cross-entropy. Metrics stream to CSV
-one row per epoch as they are produced, checkpoints are written on a fixed
+jointly against a single mean binary-cross-entropy. metrics.csv is rewritten
+with every row so far as each epoch ends, checkpoints are written on a fixed
 cadence, and the whole run is a pure function of (records, config), so two
 runs with the same inputs produce byte-identical artifacts.
 """
@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import DatasetSplit, StudyRecord, batches, split
+from .data import DatasetSplit, StudyRecord, batches, split, write_csv
 from .model import DENSENET121, DENSENET169, REDUCED, DenseNetModel, feature_map_plan
 from .preprocess import PreprocessConfig
 from .tensor import ShapeError, Tensor, backward, no_grad, record, stable_sigmoid
@@ -26,6 +26,7 @@ PRESETS = {
     "densenet121": DENSENET121,
     "densenet169": DENSENET169,
 }
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator floor
 
 
 class TrainingError(RuntimeError):
@@ -99,8 +100,7 @@ class AdamState:
                          v=[np.zeros_like(p.data) for p in params])
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: Sequence[Tensor], state: AdamState, lr: float):
     """One bias-corrected Adam update in place; clears gradients after."""
     if len(params) != len(state.m):
         raise ValueError("adam_step: state was built for a different parameter list")
@@ -110,17 +110,17 @@ def adam_step(params: Sequence[Tensor], state: AdamState, lr: float,
                 f"parameter {i} has no gradient; run backward() before adam_step")
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     # the same float operations in the same order as the out-of-place form,
     # written into m, v and p; g is only read
     for i, p in enumerate(params):
         g, m, v = p.grad, state.m[i], state.v[i]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
         p.grad = None
 
 
@@ -265,12 +265,13 @@ def _model_config(train_config: TrainConfig):
 def train(records: Sequence[StudyRecord], config: TrainConfig, out_dir: str,
           on_epoch: Optional[Callable[[EpochMetrics], None]] = None
           ) -> tuple[DenseNetModel, list[EpochMetrics]]:
-    """Train from scratch, streaming metrics.csv and checkpoints to out_dir.
+    """Train from scratch, writing metrics.csv and checkpoints to out_dir.
 
     Validation uses the held-out split when val_count > 0, otherwise the
-    training set itself (useful for overfitting sanity runs). Artifacts:
-    metrics.csv (appended after each epoch), epoch%04d.ckpt every
-    checkpoint_every epochs, and final.ckpt at the end. ``on_epoch`` is
+    training set itself (useful for overfitting sanity runs). Artifacts, each
+    replaced whole so a failed write leaves the previous file and no ``.tmp``:
+    metrics.csv (its header, then every row so far after each epoch),
+    epoch%04d.ckpt every checkpoint_every epochs, and final.ckpt. ``on_epoch`` is
     called with each epoch's metrics once its row and checkpoint are
     written. With stop_accuracy set, training halts early once validation
     joint accuracy reaches it. A non-finite loss, or a non-finite gradient
@@ -308,47 +309,44 @@ def train(records: Sequence[StudyRecord], config: TrainConfig, out_dir: str,
     cache: dict = {}
     metrics: list[EpochMetrics] = []
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for epoch in range(1, config.epochs + 1):
-            batch_losses = []
-            for b_index, batch in enumerate(batches(
-                    train_records, config.batch_size, config.preprocess,
-                    epoch=epoch, shuffle_seed=config.seed, cache=cache)):
-                if batch.images.shape[0] == 1 and len(train_records) > 1:
-                    continue
-                logits = model.forward(Tensor(batch.images), training=True)
-                loss = bce_with_logits(logits, batch.labels)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergenceError(epoch, b_index, value, metrics)
-                backward(loss)
-                # backward freed the activations; the emptied graph is dropped
-                # before the check and Adam allocate, which trims the heap less
-                del logits, loss
-                for name, p in named_params:
-                    if not np.isfinite(p.grad).all():
-                        bad = p.grad[~np.isfinite(p.grad)][0]
-                        raise DivergenceError(epoch, b_index, bad, metrics, parameter=name)
-                adam_step(params, state, config.lr)
-                batch_losses.append(value)
-            train_loss = float(np.mean(batch_losses))
-            ev = evaluate(model, val_records, config.preprocess,
-                          batch_size=config.batch_size,
-                          threshold=config.threshold, cache=cache)
-            row = EpochMetrics(epoch=epoch, train_loss=train_loss,
-                               val_loss=ev.loss, val_accuracy=ev.joint_accuracy)
-            metrics.append(row)
-            writer.writerow(astuple(row))
-            fh.flush()
-            if epoch % config.checkpoint_every == 0:
-                model.save_checkpoint(os.path.join(out_dir, f"epoch{epoch:04d}.ckpt"))
-            if on_epoch is not None:
-                on_epoch(row)
-            if config.stop_accuracy is not None and \
-                    row.val_accuracy >= config.stop_accuracy:
-                break
+    write_csv(metrics_path, METRICS_HEADER, ())
+    for epoch in range(1, config.epochs + 1):
+        batch_losses = []
+        for b_index, batch in enumerate(batches(
+                train_records, config.batch_size, config.preprocess,
+                epoch=epoch, shuffle_seed=config.seed, cache=cache)):
+            if batch.images.shape[0] == 1 and len(train_records) > 1:
+                continue
+            logits = model.forward(Tensor(batch.images), training=True)
+            loss = bce_with_logits(logits, batch.labels)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise DivergenceError(epoch, b_index, value, metrics)
+            backward(loss)
+            # backward freed the activations; the emptied graph is dropped
+            # before the check and Adam allocate, which trims the heap less
+            del logits, loss
+            for name, p in named_params:
+                if not np.isfinite(p.grad).all():
+                    bad = p.grad[~np.isfinite(p.grad)][0]
+                    raise DivergenceError(epoch, b_index, bad, metrics, parameter=name)
+            adam_step(params, state, config.lr)
+            batch_losses.append(value)
+        train_loss = float(np.mean(batch_losses))
+        ev = evaluate(model, val_records, config.preprocess,
+                      batch_size=config.batch_size,
+                      threshold=config.threshold, cache=cache)
+        row = EpochMetrics(epoch=epoch, train_loss=train_loss,
+                           val_loss=ev.loss, val_accuracy=ev.joint_accuracy)
+        metrics.append(row)
+        write_csv(metrics_path, METRICS_HEADER, map(astuple, metrics))
+        if epoch % config.checkpoint_every == 0:
+            model.save_checkpoint(os.path.join(out_dir, f"epoch{epoch:04d}.ckpt"))
+        if on_epoch is not None:
+            on_epoch(row)
+        if config.stop_accuracy is not None and \
+                row.val_accuracy >= config.stop_accuracy:
+            break
     model.save_checkpoint(os.path.join(out_dir, "final.ckpt"))
     return model, metrics
 

@@ -424,30 +424,37 @@ def test_predict_missing_volume_is_data_error(trained, capsys):
     code, _, err = run_cli(capsys, "predict", "--input", "/no/volume.mha",
                            "--checkpoint", str(trained / "final.ckpt"))
     assert code == 2
+    assert err.startswith("error: /no/volume.mha: ")
 
 
 @pytest.mark.parametrize("fault, message", [
     ("empty-slope", "RescaleSlope"),
     ("float32-overflowing-slope", "RescaleSlope: '1e39' is not finite as float32"),
     ("nan-voxel", "select_slice: slice 2 holds a non-finite value nan at (y, x) = (5, 7)"),
+    ("truncated-header", "header ended without an ElementDataFile line"),
 ])
 def test_predict_on_a_volume_that_would_score_nan_is_data_error(fault, message, dataset, trained,
                                                                 tmp_path, capsys):
-    vol = read_mha_file(str(dataset / "data" / "synth001.mha"))
-    if fault == "empty-slope":
-        vol.header.raw_fields["RescaleSlope"] = ""
-    elif fault == "float32-overflowing-slope":
-        vol.header.raw_fields["RescaleSlope"] = "1e39"
-    else:
-        voxels = vol.voxels.astype(np.float32)
-        voxels[2, 5, 7] = np.nan
-        vol = Volume(header=vol.header, voxels=voxels)
-        vol.header.element_type = "MET_FLOAT"
+    # the error names the volume first, as evaluate names the study
     path = tmp_path / f"{fault}.mha"
-    write_mha_file(str(path), vol)
+    if fault == "truncated-header":
+        path.write_bytes(b"ObjectType = Image\nNDims = 3\nDimSize = 4 4 2\n")
+    else:
+        vol = read_mha_file(str(dataset / "data" / "synth001.mha"))
+        if fault == "empty-slope":
+            vol.header.raw_fields["RescaleSlope"] = ""
+        elif fault == "float32-overflowing-slope":
+            vol.header.raw_fields["RescaleSlope"] = "1e39"
+        else:
+            voxels = vol.voxels.astype(np.float32)
+            voxels[2, 5, 7] = np.nan
+            vol = Volume(header=vol.header, voxels=voxels)
+            vol.header.element_type = "MET_FLOAT"
+        write_mha_file(str(path), vol)
     code, out, err = run_cli(capsys, "predict", "--input", str(path),
                              "--checkpoint", str(trained / "final.ckpt"))
     assert code == 2
+    assert err.startswith(f"error: {path}: ")
     assert message in err and "prob_covid" not in out
 
 

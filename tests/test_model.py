@@ -448,35 +448,6 @@ def test_checkpoint_file_round_trip(tmp_path):
     npt.assert_array_equal(clone.fc.weight.data, model.fc.weight.data)
 
 
-def test_checkpoint_write_failing_partway_keeps_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "final.ckpt"
-    DenseNetModel(REDUCED, seed=2).save_checkpoint(str(path))
-    previous = path.read_bytes()
-
-    class FullDisk:
-        # writes half the bytes, then fails like a full disk would
-        def __init__(self, name, mode):
-            self.f = open(name, mode)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-        def write(self, data):
-            self.f.write(data[:len(data) // 2])
-            self.f.flush()
-            raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr("densect.model.open", FullDisk, raising=False)
-    with pytest.raises(OSError):
-        DenseNetModel(REDUCED, seed=3).save_checkpoint(str(path))
-    monkeypatch.undo()
-    assert path.read_bytes() == previous
-    assert os.listdir(tmp_path) == ["final.ckpt"]
-
-
 def test_checkpoint_rejects_bad_magic():
     buf = checkpoint_bytes(DenseNetModel(REDUCED))
     with pytest.raises(CheckpointError, match="magic"):

@@ -7,10 +7,13 @@ update equations. The production code is checked against both before any
 end-to-end run is trusted.
 """
 
+import ast
+import errno
 import gc
 import os
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densect.data import StudyRecord, load_study_image, synth_generate
+import densect
+from densect.data import StudyRecord, load_study_image, synth_generate, write_csv
+from densect.mha import Volume, write_mha_file
 from densect.model import REDUCED, DenseNetModel
 from densect.preprocess import PreprocessConfig
 from densect.tensor import ShapeError, Tensor, backward
@@ -604,6 +609,104 @@ def test_train_on_no_study_is_refused_before_any_artifact(tmp_path):
     with pytest.raises(ValueError, match="no study"):
         train([], small_train_config(), str(out))
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- whole-file writes
+
+def _rewrite_checkpoint(out, arm, records):
+    DenseNetModel(REDUCED, seed=2).save_checkpoint(str(out / "final.ckpt"))
+    arm()
+    DenseNetModel(REDUCED, seed=3).save_checkpoint(str(out / "final.ckpt"))
+
+
+def _rewrite_csv(out, arm, records):
+    write_csv(str(out / "report.csv"), ("a", "b"), [(1, 2)])
+    arm()
+    write_csv(str(out / "report.csv"), ("a", "b"), [(1, 2), (3, 4)])
+
+
+def _rewrite_mha(out, arm, records):
+    write_mha_file(str(out / "study.mha"), Volume.from_array(np.zeros((2, 3, 4), np.int16)))
+    arm()
+    write_mha_file(str(out / "study.mha"), Volume.from_array(np.ones((2, 3, 4), np.int16)))
+
+
+def _train_two_epochs(out, arm, records):
+    # armed as epoch 1 ends, so epoch 2's metrics.csv rewrite is the first to fail
+    train(records, small_train_config(epochs=2), str(out), on_epoch=lambda m: arm())
+
+
+@pytest.mark.parametrize("rewrite, artifacts", [
+    (_rewrite_checkpoint, ["final.ckpt"]),
+    (_rewrite_csv, ["report.csv"]),
+    (_rewrite_mha, ["study.mha"]),
+    (_train_two_epochs, ["epoch0001.ckpt", "metrics.csv"]),
+], ids=["save_checkpoint", "write_csv", "write_mha_file", "train"])
+def test_a_write_failing_partway_keeps_the_previous_file(tmp_path, synth_dir, monkeypatch,
+                                                         rewrite, artifacts):
+    # once armed, every file the one writer opens for writing takes half of
+    # its first write and then fails as a full disk would; the directory
+    # must be left as it was when armed, with no .tmp
+    class FullDisk:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            self.f.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_disk_open(name, mode="r"):
+        return FullDisk(open(name, mode)) if "w" in mode else open(name, mode)
+
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = {}
+
+    def arm():
+        previous.update((p.name, p.read_bytes()) for p in out.iterdir())
+        monkeypatch.setattr("densect.mha.open", full_disk_open, raising=False)
+
+    with pytest.raises(OSError) as exc:
+        rewrite(out, arm, synth_dir)
+    monkeypatch.undo()
+    assert exc.value.errno == errno.ENOSPC
+    assert sorted(previous) == artifacts
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+
+def _write_opens(source: str) -> list:
+    """The enclosing function of each ``open(...)`` call in ``source`` whose
+    mode writes; a mode that is not a string literal counts as writing."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else \
+            next((k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        if isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"):
+            continue
+        scope = parents[node]
+        while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+            scope = parents[scope]
+        found.append(getattr(scope, "name", "<module>"))
+    return found
+
+
+def test_one_function_opens_a_file_for_writing():
+    found = [(path.name, name)
+             for path in sorted(Path(densect.__file__).parent.glob("*.py"))
+             for name in _write_opens(path.read_text())]
+    assert found == [("mha.py", "write_whole")]
 
 
 def test_metrics_csv_round_trip_and_validation(tmp_path):
