@@ -73,10 +73,12 @@ def _read_config_file(path: str, command: str, keys: Sequence[str]) -> dict:
     the settings ``command`` takes."""
     values = {}
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}") from e
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8: {e}") from None
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):

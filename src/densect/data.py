@@ -79,42 +79,38 @@ def load_reference(csv_path: str) -> list[StudyRecord]:
     Volume paths are ``<csv dir>/data/<PatientID>.mha``. Files are not
     required to exist yet — that is checked lazily when a batch actually
     loads them. A file holding only the header is a valid empty dataset.
-    Every format error begins with the path, and the line where there is
-    one: ``{csv_path}:{line}: ...``.
+    Every format error, a byte that is not UTF-8 included, begins with the
+    path, and the line where there is one: ``{csv_path}:{line}: ...``.
     """
     data_dir = os.path.join(os.path.dirname(os.path.abspath(csv_path)), "data")
-    with open(csv_path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ReferenceFormatError(f"{csv_path}: reference file is empty") from None
-        if tuple(h.strip() for h in header) != REFERENCE_HEADER:
-            raise ReferenceFormatError(
-                f"{csv_path}:1: expected header {','.join(REFERENCE_HEADER)}, "
-                f"got {','.join(header)!r}")
-        records = []
-        seen = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # tolerate blank lines
-            where = f"{csv_path}:{line_no}"
-            if len(row) != 3:
-                raise ReferenceFormatError(f"{where}: expected 3 fields, got {len(row)}")
-            pid = row[0].strip()
-            if not pid:
-                raise ReferenceFormatError(f"{where}: empty PatientID")
-            if pid in seen:
-                raise ReferenceFormatError(f"{where}: duplicate PatientID {pid!r}")
-            seen.add(pid)
-            covid = _parse_label(row[1], "probCOVID", where)
-            severe = _parse_label(row[2], "probSevere", where)
-            records.append(StudyRecord(
-                patient_id=pid,
-                volume_path=os.path.join(data_dir, pid + ".mha"),
-                label_covid=covid,
-                label_severe=severe,
-            ))
+    rows = read_csv(csv_path, ReferenceFormatError)
+    where, header = next(rows, (csv_path, None))
+    if header is None:
+        raise ReferenceFormatError(f"{csv_path}: reference file is empty")
+    if tuple(h.strip() for h in header) != REFERENCE_HEADER:
+        raise ReferenceFormatError(
+            f"{where}: expected header {','.join(REFERENCE_HEADER)}, got {','.join(header)!r}")
+    records = []
+    seen = set()
+    for where, row in rows:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # tolerate blank lines
+        if len(row) != 3:
+            raise ReferenceFormatError(f"{where}: expected 3 fields, got {len(row)}")
+        pid = row[0].strip()
+        if not pid:
+            raise ReferenceFormatError(f"{where}: empty PatientID")
+        if pid in seen:
+            raise ReferenceFormatError(f"{where}: duplicate PatientID {pid!r}")
+        seen.add(pid)
+        covid = _parse_label(row[1], "probCOVID", where)
+        severe = _parse_label(row[2], "probSevere", where)
+        records.append(StudyRecord(
+            patient_id=pid,
+            volume_path=os.path.join(data_dir, pid + ".mha"),
+            label_covid=covid,
+            label_severe=severe,
+        ))
     return records
 
 
@@ -256,3 +252,22 @@ def write_csv(path: str, header, rows) -> None:
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows([header, *rows])
     write_whole(path, lambda f: f.write(text.getvalue().encode()))
+
+
+def read_csv(path: str, error=ValueError) -> Iterator[tuple[str, list[str]]]:
+    """Each row of the UTF-8 CSV file at ``path`` with ``where``, its
+    ``{path}:{line}``. A byte that is not UTF-8, or a field longer than
+    csv's limit, raises ``error`` beginning with that ``where``."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                try:
+                    "".join(row).encode("utf-8")
+                except UnicodeEncodeError as e:  # a surrogate stands for a byte not UTF-8
+                    raise error(f"{where}: byte 0x{ord(e.object[e.start]) - 0xDC00:02x} "
+                                "is not UTF-8") from None
+                yield where, row
+        except csv.Error as e:
+            raise error(f"{path}:{reader.line_num}: {e}") from None

@@ -48,6 +48,7 @@ _CONSUMED_KEYS = frozenset({"ObjectType", "NDims", "DimSize", "ElementType", "El
 
 _MAX_NDIMS = 16
 _MAX_HEADER_FIELDS = 256  # header fields before ElementDataFile, read or written
+_MAX_HEADER_LINE = 1 << 16  # a header line, its line break included, is shorter than this
 _MAX_VOXEL_BYTES = 1 << 33  # refuse to allocate more than 8 GiB from a header
 _INFLATE_CHUNK = 1 << 18  # compressed bytes handed to zlib per read
 
@@ -175,12 +176,15 @@ def _parse_line(text: str) -> tuple[str, str]:
 
 def _read_header(f):
     """Parse (key, value) pairs from the start of binary stream ``f``, one
-    line at a time, up to the ElementDataFile line; return them with the
-    payload's offset."""
+    line of fewer than ``_MAX_HEADER_LINE`` bytes at a time, up to the
+    ElementDataFile line; return them with the payload's offset."""
     fields: dict[str, str] = {}
     while True:
         start = f.tell()
-        line = f.readline()
+        line = f.readline(_MAX_HEADER_LINE)
+        if len(line) == _MAX_HEADER_LINE:
+            raise MalformedHeaderError(
+                f"header line at offset {start} reaches {_MAX_HEADER_LINE} bytes")
         if not line.endswith(b"\n"):
             raise MalformedHeaderError("header ended without an ElementDataFile line")
         try:
@@ -305,7 +309,8 @@ def _fmt_floats(vals) -> str:
 def _raw_line(key: str, value: str) -> str:
     line = f"{key} = {value}"
     try:
-        if line.isascii() and "\r" not in line and "\n" not in line and _parse_line(line) == (key, value):
+        if (len(line) + 1 < _MAX_HEADER_LINE and line.isascii() and "\r" not in line
+                and "\n" not in line and _parse_line(line) == (key, value)):
             return line
     except MalformedHeaderError:
         pass

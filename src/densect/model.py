@@ -19,11 +19,8 @@ every structural element at a tiny fraction of the cost.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
-import stat
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -44,6 +41,7 @@ from .tensor import (
 
 CHECKPOINT_MAGIC = b"DCTCKPT1"
 CHECKPOINT_VERSION = 1
+_READ_CHUNK = 1 << 16  # the most bytes one checkpoint read asks the stream for
 
 
 class CheckpointError(ValueError):
@@ -339,22 +337,13 @@ class DenseNetModel:
 
     @staticmethod
     def load_checkpoint(path: str, dtype=np.float32) -> "DenseNetModel":
-        """Load the checkpoint file at ``path``; every ``CheckpointError``
-        begins with ``{path}: ``."""
+        """Load the checkpoint at ``path``: a file, a pipe or any other stream
+        that can be read. Every ``CheckpointError`` begins with ``{path}: ``."""
         with open(path, "rb") as f:
-            st = os.fstat(f.fileno())
             try:
-                if stat.S_ISREG(st.st_mode):
-                    return _read_checkpoint(f, st.st_size, dtype)
-                # a pipe has no size until it is read
-                return model_from_checkpoint_bytes(f.read(), dtype)
+                return _read_checkpoint(f, dtype)
             except CheckpointError as e:
                 raise CheckpointError(f"{path}: {e}") from None
-
-
-def model_from_checkpoint_bytes(buf: bytes, dtype=np.float32) -> DenseNetModel:
-    """The model in checkpoint bytes ``buf``; the parser of ``load_checkpoint``."""
-    return _read_checkpoint(io.BytesIO(buf), len(buf), dtype)
 
 
 def _write_checkpoint(f, model: DenseNetModel):
@@ -380,12 +369,13 @@ def _write_checkpoint(f, model: DenseNetModel):
 
 
 class _Reader:
-    """Reads a checkpoint of ``size`` bytes from binary stream ``f``. No read
-    goes past ``size``, so a read that comes back short is a truncation: of
-    the checkpoint, or of a stream that shrank since its size was taken."""
+    """Reads a checkpoint from buffered binary stream ``f`` without knowing
+    its size: a read that comes back short has met the stream's end. Bytes
+    are asked for at most ``_READ_CHUNK`` at a time, so a corrupt length
+    allocates no more than the stream holds."""
 
-    def __init__(self, f, size: int):
-        self.f, self.size, self.pos = f, size, 0
+    def __init__(self, f):
+        self.f, self.pos = f, 0
 
     def _advance(self, n: int, have: int):
         if have < n:
@@ -393,8 +383,10 @@ class _Reader:
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, have {have}")
         self.pos += n
 
-    def take(self, n: int) -> bytes:
-        out = self.f.read(min(n, self.size - self.pos))
+    def take(self, n: int) -> bytearray:
+        out = bytearray()
+        while len(out) < n and (part := self.f.read(min(n - len(out), _READ_CHUNK))):
+            out += part
         self._advance(n, len(out))
         return out
 
@@ -404,15 +396,15 @@ class _Reader:
     def read_into(self, arr: np.ndarray):
         """Fill C-contiguous ``arr`` with the next ``arr.nbytes`` bytes."""
         view = memoryview(arr).cast("B")
-        self._advance(len(view), self.f.readinto(view[:self.size - self.pos]))
+        self._advance(len(view), self.f.readinto(view))
 
 
-def _read_checkpoint(f, size: int, dtype) -> DenseNetModel:
-    """Parse the checkpoint of ``size`` bytes in binary stream ``f``. A
+def _read_checkpoint(f, dtype) -> DenseNetModel:
+    """Parse the checkpoint that binary stream ``f`` holds to its end. A
     float32 model reads each payload straight into its state array and
     checks it there; any other dtype reads into a float32 scratch array and
     converts."""
-    r = _Reader(f, size)
+    r = _Reader(f)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic: not a model checkpoint")
     (version,) = r.unpack("<I")
@@ -470,6 +462,7 @@ def _read_checkpoint(f, size: int, dtype) -> DenseNetModel:
             raise CheckpointError(f"{name}: negative running variance {arr.flat[i]} at flat index {i}")
         if not direct:
             target.data[...] = arr
-    if r.pos != size:
-        raise CheckpointError(f"{size - r.pos} trailing bytes after state table")
+    if tail := len(f.read(_READ_CHUNK)):  # a chunk past the table refuses any tail, endless too
+        more = " or more" if tail == _READ_CHUNK else ""
+        raise CheckpointError(f"{tail}{more} trailing bytes after state table")
     return model

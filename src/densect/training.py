@@ -9,14 +9,13 @@ runs with the same inputs produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import DatasetSplit, StudyRecord, batches, split, write_csv
+from .data import DatasetSplit, StudyRecord, batches, read_csv, split, write_csv
 from .model import DENSENET121, DENSENET169, REDUCED, DenseNetModel, feature_map_plan
 from .preprocess import PreprocessConfig
 from .tensor import ShapeError, Tensor, backward, no_grad, record, stable_sigmoid
@@ -352,20 +351,18 @@ def train(records: Sequence[StudyRecord], config: TrainConfig, out_dir: str,
 
 
 def metrics_from_csv(path: str) -> list[EpochMetrics]:
-    """Read back a metrics.csv written by train()."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header in {path}: {header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append(EpochMetrics(int(row[0]), *map(float, row[1:])))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line_no}: non-numeric metrics row: {row}") from None
-    return rows
+    """Read back a metrics.csv written by train(); every error begins with
+    the path, and the line where there is one: ``{path}:{line}: ...``."""
+    rows = read_csv(path)
+    where, header = next(rows, (path, None))
+    if header is None or tuple(header) != METRICS_HEADER:
+        raise ValueError(f"{where}: unexpected metrics header {header}")
+    metrics = []
+    for where, row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        try:
+            metrics.append(EpochMetrics(int(row[0]), *map(float, row[1:])))
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric metrics row: {row}") from None
+    return metrics

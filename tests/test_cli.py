@@ -14,11 +14,10 @@ import densect
 from densect import cli
 from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
 from densect.mha import Volume, read_mha_file, write_mha_file
-from densect.model import (DENSENET121, REDUCED, DenseNetModel, feature_map_plan,
-                           model_from_checkpoint_bytes)
+from densect.model import DENSENET121, REDUCED, DenseNetModel, feature_map_plan
 from densect.training import (DivergenceError, EpochMetrics, EvalResult, PatientEval,
                               TrainConfig, metrics_from_csv)
-from bytes_io import checkpoint_bytes
+from bytes_io import checkpoint_bytes, model_from_checkpoint_bytes
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +151,14 @@ def test_config_missing_file(capsys):
                            "--config", "/no/such.cfg")
     assert code == 1
     assert "config" in err
+
+
+def test_config_file_that_is_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nepochs = 2\n")
+    code, _, err = run_cli(capsys, "train", "--data", "x", "--out", "y", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith(f"error: {cfg}: not UTF-8: ")
 
 
 @pytest.mark.parametrize("command, text, line, key", [
@@ -348,6 +355,36 @@ def test_bad_reference_label_names_the_file_before_any_artifact(tmp_path, capsys
     assert code == 2
     assert f"{data / 'reference.csv'}:2: probCOVID must be 0 or 1" in err
     assert not out.exists()
+
+
+_LONG_FIELD = b"x" * 131073    # one past csv's field size limit
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"p1,1,\xff0\n", "2: byte 0xff is not UTF-8"),
+    (b"p1,1,0\n" + _LONG_FIELD + b",1,0\n", "3: field larger than field limit (131072)"),
+], ids=["non-utf8", "field-over-limit"])
+def test_unreadable_reference_text_is_data_error_naming_the_line(row, message, tmp_path, capsys):
+    data, out = tmp_path / "ds", tmp_path / "o"
+    data.mkdir()
+    (data / "reference.csv").write_bytes(b"PatientID,probCOVID,probSevere\n" + row)
+    code, _, err = run_cli(capsys, "train", "--data", str(data), "--out", str(out),
+                           "--preset", "reduced", "--target-size", "32")
+    assert code == 2
+    assert err == f"error: {data / 'reference.csv'}:{message}\n"
+    assert not out.exists()
+
+
+def test_an_endless_input_stream_is_data_error(trained, capsys):
+    # /dev/zero never ends: the checkpoint's magic and the volume's first
+    # header line are each refused after a bounded read
+    code, _, err = run_cli(capsys, "describe", "--checkpoint", "/dev/zero")
+    assert code == 2
+    assert err == "error: /dev/zero: bad magic: not a model checkpoint\n"
+    code, _, err = run_cli(capsys, "predict", "--input", "/dev/zero",
+                           "--checkpoint", str(trained / "final.ckpt"))
+    assert code == 2
+    assert err == "error: /dev/zero: header line at offset 0 reaches 65536 bytes\n"
 
 
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
@@ -794,6 +831,21 @@ def test_curves_bad_inputs(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "curves", "--metrics", str(bad),
                          "--out-dir", str(tmp_path / "c"), "--window", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"1,0.5,0.6,\xff\n", "2: byte 0xff is not UTF-8"),
+    (b"1,0.5,0.6," + _LONG_FIELD + b"\n", "2: field larger than field limit (131072)"),
+], ids=["non-utf8", "field-over-limit"])
+def test_curves_on_unreadable_metrics_text_is_usage_error_naming_the_line(row, message, tmp_path,
+                                                                           capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_bytes(b"epoch,train_loss,val_loss,val_accuracy\n" + row)
+    code, _, err = run_cli(capsys, "curves", "--metrics", str(metrics),
+                           "--out-dir", str(tmp_path / "c"))
+    assert code == 1
+    assert err == f"error: {metrics}:{message}\n"
+    assert not (tmp_path / "c").exists()
 
 
 # ---------------------------------------------------------------- round trip

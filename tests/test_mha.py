@@ -20,6 +20,8 @@ from densect.mha import (
     _CONSUMED_KEYS,
     _DTYPE_TO_ELEMENT,
     _MAX_HEADER_FIELDS,
+    _MAX_HEADER_LINE,
+    _read,
     ELEMENT_TYPES,
     MalformedHeaderError,
     MhaError,
@@ -33,7 +35,7 @@ from densect.mha import (
     write_mha,
     write_mha_file,
 )
-from bytes_io import read_mha
+from bytes_io import EndlessStream, read_mha
 
 MINIMAL = (b"ObjectType = Image\n"
            b"NDims = 3\n"
@@ -290,6 +292,27 @@ def test_writer_refuses_a_header_the_reader_would_refuse():
         write_mha(volume(fits + 1))
 
 
+def test_writer_refuses_a_header_line_the_reader_would_refuse():
+    # "Note = " + value + "\n" must stay below the reader's line limit
+    def volume(value_len):
+        vol = Volume.from_array(np.arange(4, dtype=np.uint8).reshape(2, 2))
+        vol.header.raw_fields["Note"] = "x" * value_len
+        return vol
+
+    longest = _MAX_HEADER_LINE - len("Note = \n") - 1
+    assert read_mha(write_mha(volume(longest))).header.raw_fields["Note"] == "x" * longest
+    with pytest.raises(MhaError, match="would not read back as written"):
+        write_mha(volume(longest + 1))
+
+
+def test_an_endless_header_line_is_refused_at_the_line_limit():
+    stream = EndlessStream(b"A")
+    with pytest.raises(MalformedHeaderError,
+                       match=f"^header line at offset 0 reaches {_MAX_HEADER_LINE} bytes$"):
+        _read(stream)
+    assert stream.tell() <= _MAX_HEADER_LINE + 1
+
+
 _FIELD_TEXT = st.text(st.characters(max_codepoint=0x7F), max_size=10) | st.text(max_size=4)
 
 
@@ -411,9 +434,11 @@ _VALID_ZLIB = _stored(np.arange(24, dtype=np.int16).reshape(2, 3, 4), compress=T
     (b"".join(b"K%d = v\n" % i for i in range(_MAX_HEADER_FIELDS + 1)), MalformedHeaderError,
      "more than"),
     (_VALID.replace(b"MET_SHORT", b"MET_LONG"), UnsupportedTypeError, "MET_LONG"),
+    (b"ObjectType = Image\nNote = " + b"x" * _MAX_HEADER_LINE + b"\n" + _VALID[19:],
+     MalformedHeaderError, f"header line at offset 19 reaches {_MAX_HEADER_LINE} bytes"),
 ], ids=["raw-short-by-one", "raw-empty", "no-terminator", "zlib-short", "zlib-cut", "zlib-bad-check",
         "empty", "long-non-ascii", "non-ascii-lf", "non-ascii-crlf", "duplicate", "too-many-fields",
-        "type"])
+        "type", "line-at-limit"])
 def test_read_mha_file_fails_as_read_mha(tmp_path, data, error, message):
     from_bytes, from_file = _both_readers(tmp_path, data)
     assert from_bytes == from_file

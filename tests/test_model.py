@@ -11,6 +11,7 @@ import contextlib
 import io
 import os
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -30,12 +31,11 @@ from densect.model import (
     DenseNetModel,
     count_connections,
     feature_map_plan,
-    model_from_checkpoint_bytes,
     weighted_layer_count,
 )
 from densect.tensor import Tensor, backward, concat_channels, no_grad, record
 from densect.training import bce_with_logits
-from bytes_io import checkpoint_bytes
+from bytes_io import EndlessStream, checkpoint_bytes, model_from_checkpoint_bytes
 from gradcheck import grad_check
 from oracles import param_count_ref
 from projection import project
@@ -551,9 +551,8 @@ def test_checkpoint_file_and_bytes_agree(config, tmp_path):
 
 
 def test_every_cut_of_a_checkpoint_fails_alike_from_bytes_file_and_shrunk_stream(tmp_path):
-    # a file load adds only its path; a stream holding fewer bytes than the
-    # size the parser was given (a file that shrank after its size was
-    # taken) returns short from read and readinto, and fails as a
+    # a file load adds only its path; the parser takes no size, so a stream
+    # that ends early returns short from read and readinto and fails as a
     # checkpoint of the shorter length does
     path = tmp_path / "cut.ckpt"
     for cut in range(len(TINY_CHECKPOINT)):
@@ -561,8 +560,7 @@ def test_every_cut_of_a_checkpoint_fails_alike_from_bytes_file_and_shrunk_stream
         path.write_bytes(TINY_CHECKPOINT[:cut])
         assert _error_text(DenseNetModel.load_checkpoint, str(path)) == f"{path}: {expected}"
         shrunk = io.BytesIO(TINY_CHECKPOINT[:cut])
-        assert _error_text(model_module._read_checkpoint, shrunk, len(TINY_CHECKPOINT),
-                           np.float32) == expected
+        assert _error_text(model_module._read_checkpoint, shrunk, np.float32) == expected
 
 
 def test_a_truncated_payload_names_its_entry():
@@ -584,9 +582,25 @@ def test_trailing_bytes_in_a_checkpoint_file_are_refused_naming_the_file(tmp_pat
         DenseNetModel.load_checkpoint(str(path))
 
 
+def test_a_tail_of_a_chunk_or_more_is_refused_one_chunk_past_the_table():
+    stream = io.BytesIO(TINY_CHECKPOINT + bytes(1 << 20))
+    with pytest.raises(CheckpointError, match=r"^65536 or more trailing bytes after state table$"):
+        model_module._read_checkpoint(stream, np.float32)
+    assert stream.tell() <= len(TINY_CHECKPOINT) + 65536
+    with _pipe_holding(TINY_CHECKPOINT + bytes(1 << 20)) as path:
+        assert _error_text(DenseNetModel.load_checkpoint, path) == (
+            f"{path}: 65536 or more trailing bytes after state table")
+
+
+def test_an_endless_stream_of_zeros_is_refused_after_its_first_8_bytes():
+    zeros = EndlessStream(b"\x00")
+    with pytest.raises(CheckpointError, match="^bad magic: not a model checkpoint$"):
+        model_module._read_checkpoint(zeros, np.float32)
+    assert zeros.tell() == 8
+
+
 def test_a_checkpoint_read_from_a_pipe_loads_as_from_bytes():
-    # a pipe has no size to stream against: it is read whole, then parsed
-    # by the same parser; TINY fits the pipe's buffer, so no writer thread
+    # a pipe has no size: the parser streams it as it streams a file
     with _pipe_holding(TINY_CHECKPOINT) as path:
         assert checkpoint_bytes(DenseNetModel.load_checkpoint(path)) == TINY_CHECKPOINT
     expected = _error_text(model_from_checkpoint_bytes, TINY_CHECKPOINT[:-1])
@@ -596,24 +610,42 @@ def test_a_checkpoint_read_from_a_pipe_loads_as_from_bytes():
 
 @contextlib.contextmanager
 def _pipe_holding(data: bytes):
+    # a writer thread feeds the pipe, so data may outgrow its buffer; a
+    # reader that stops early breaks the pipe, which ends the writer
     r, w = os.pipe()
+    writer = threading.Thread(target=_write_all, args=(w, data))
+    writer.start()
     try:
-        os.write(w, data)
-        os.close(w)
         yield f"/dev/fd/{r}"
     finally:
         os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+def _write_all(fd: int, data: bytes):
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def _load_budget(model: DenseNetModel) -> int:
+    # tracemalloc counts numpy's buffers too, so this bound is an exact
+    # count, not a timing: a load holds the model's state, one entry's bool
+    # finiteness mask at a time and 1 MiB for Python objects
+    return (sum(t.data.nbytes for _, t in model.named_state())
+            + max(t.data.size for _, t in model.named_state()) + 2**20)
 
 
 def test_checkpoint_file_io_holds_no_byte_image_of_the_file(tmp_path):
-    # tracemalloc counts numpy's buffers too, so these bounds are exact
-    # counts, not timings: a load holds the model's state, one entry's bool
-    # finiteness mask at a time and 1 MiB for Python objects; a save writes
-    # each array from its own buffer
+    # a save writes each array from its own buffer
     model = DenseNetModel.allocated(DENSENET121)
     path = str(tmp_path / "densenet121.ckpt")
-    state_bytes = sum(t.data.nbytes for _, t in model.named_state())
-    largest_mask = max(t.data.size for _, t in model.named_state())
     tracemalloc.start()
     try:
         model.save_checkpoint(path)
@@ -625,7 +657,21 @@ def test_checkpoint_file_io_holds_no_byte_image_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert save_peak < 2**20
-    assert load_peak <= state_bytes + largest_mask + 2**20
+    assert load_peak <= _load_budget(model)
+
+
+def test_a_checkpoint_streams_from_a_pipe_with_no_byte_image():
+    model = DenseNetModel.allocated(DENSENET121)
+    data = checkpoint_bytes(model)
+    with _pipe_holding(data) as path:
+        tracemalloc.start()
+        try:
+            clone = DenseNetModel.load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert load_peak <= _load_budget(model)
+    assert checkpoint_bytes(clone) == data
 
 
 def test_config_validation():

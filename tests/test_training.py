@@ -11,6 +11,7 @@ import ast
 import errno
 import gc
 import os
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -717,7 +718,10 @@ def test_metrics_csv_round_trip_and_validation(tmp_path):
     assert rows == [EpochMetrics(1, 0.5, 0.6, 0.25), EpochMetrics(2, 0.4, 0.55, 0.5)]
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:1: unexpected metrics header"):
+        metrics_from_csv(str(bad))
+    bad.write_text("")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: unexpected metrics header"):
         metrics_from_csv(str(bad))
 
 
