@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict, astuple, fields
 from typing import Optional, Sequence
 
-from .data import DataError, ItemError, load_reference, synth_generate, write_csv
+from .data import DataError, ItemError, load_reference, read_lines, synth_generate, write_csv
 from .mha import MhaError, read_mha_file, to_hounsfield
 from .model import CheckpointError, DenseNetModel, count_connections, feature_map_plan, weighted_layer_count
 from .preprocess import PreprocessConfig, PreprocessError, preprocess
@@ -69,35 +69,31 @@ _IMAGE_KEYS = [key for key in _PREPROCESS_KEYS if key != "target_size"]
 
 
 def _read_config_file(path: str, command: str, keys: Sequence[str]) -> dict:
-    """Parse a key=value settings file; every key must be one of ``keys``,
-    the settings ``command`` takes."""
+    """Parse a key=value settings file, read by ``read_lines``; every key must
+    be one of ``keys``, the settings ``command`` takes."""
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        for line_no, line in enumerate(read_lines(path, UsageError), start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            if "=" not in text:
+                raise UsageError(f"{path}:{line_no}: expected key=value, got {text!r}")
+            key, _, raw = text.partition("=")
+            key = key.strip()
+            raw = raw.strip()
+            if key not in keys:
+                raise UsageError(f"{path}:{line_no}: {command} takes no setting {key!r}")
+            if key in values:
+                raise UsageError(f"{path}:{line_no}: duplicate setting {key!r}")
+            convert = _SCHEMA[key]
+            try:
+                values[key] = convert(raw)
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{line_no}: invalid value {raw!r} for {key}") from None
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}") from e
-    except UnicodeDecodeError as e:
-        raise UsageError(f"{path}: not UTF-8: {e}") from None
-    for line_no, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" not in text:
-            raise UsageError(f"{path}:{line_no}: expected key=value, got {text!r}")
-        key, _, raw = text.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in keys:
-            raise UsageError(f"{path}:{line_no}: {command} takes no setting {key!r}")
-        if key in values:
-            raise UsageError(f"{path}:{line_no}: duplicate setting {key!r}")
-        convert = _SCHEMA[key]
-        try:
-            values[key] = convert(raw)
-        except ValueError:
-            raise UsageError(
-                f"{path}:{line_no}: invalid value {raw!r} for {key}") from None
     return values
 
 

@@ -25,6 +25,9 @@ from .mha import MhaError, Volume, read_mha_file, to_hounsfield, write_mha_file,
 from .preprocess import PreprocessConfig, PreprocessError, preprocess
 
 REFERENCE_HEADER = ("PatientID", "probCOVID", "probSevere")
+# characters in a text line read_lines takes, its line break included; above
+# csv's 131072-character field limit, so a long field meets that limit first
+_MAX_LINE = 1 << 18
 
 
 class DataError(Exception):
@@ -254,20 +257,29 @@ def write_csv(path: str, header, rows) -> None:
     write_whole(path, lambda f: f.write(text.getvalue().encode()))
 
 
-def read_csv(path: str, error=ValueError) -> Iterator[tuple[str, list[str]]]:
-    """Each row of the UTF-8 CSV file at ``path`` with ``where``, its
-    ``{path}:{line}``. A byte that is not UTF-8, or a field longer than
-    csv's limit, raises ``error`` beginning with that ``where``."""
+def read_lines(path: str, error=ValueError) -> Iterator[str]:
+    """Each line of the UTF-8 text file at ``path``, its line break kept, read
+    with a limit of ``_MAX_LINE`` characters. A line that reaches the limit, or
+    a byte that is not UTF-8, raises ``error`` beginning ``{path}:{line}: ``."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                try:
-                    "".join(row).encode("utf-8")
-                except UnicodeEncodeError as e:  # a surrogate stands for a byte not UTF-8
-                    raise error(f"{where}: byte 0x{ord(e.object[e.start]) - 0xDC00:02x} "
-                                "is not UTF-8") from None
-                yield where, row
-        except csv.Error as e:
-            raise error(f"{path}:{reader.line_num}: {e}") from None
+        for line_no, line in enumerate(iter(lambda: fh.readline(_MAX_LINE), ""), start=1):
+            if len(line) == _MAX_LINE:
+                raise error(f"{path}:{line_no}: line reaches {_MAX_LINE} characters")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:  # a surrogate stands for a byte not UTF-8
+                raise error(f"{path}:{line_no}: byte 0x{ord(e.object[e.start]) - 0xDC00:02x} "
+                            "is not UTF-8") from None
+            yield line
+
+
+def read_csv(path: str, error=ValueError) -> Iterator[tuple[str, list[str]]]:
+    """Each row of the CSV file at ``path``, read by ``read_lines``, with
+    ``where``, its ``{path}:{line}``. A field longer than csv's limit raises
+    ``error`` beginning with that ``where``, as ``read_lines`` does."""
+    reader = csv.reader(read_lines(path, error))
+    try:
+        for row in reader:
+            yield f"{path}:{reader.line_num}", row
+    except csv.Error as e:
+        raise error(f"{path}:{reader.line_num}: {e}") from None

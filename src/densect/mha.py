@@ -6,6 +6,8 @@ voxel payload. Values are little-endian unless ``BinaryDataByteOrderMSB``
 says otherwise; a ``CompressedData = True`` payload is a single zlib/DEFLATE
 stream. Voxels are stored x-fastest; in memory they are kept in the reversed
 (…, z, y, x) C-order layout so ``voxels[k]`` is an axial slice of a 3-D scan.
+A volume's geometry is its voxel array: NDims, DimSize and ElementType are
+read into it and written from it, and ``MhaHeader`` holds only the rest.
 
 Reading copies each voxel byte once. The header is read one line at a time
 up to the ElementDataFile line; then the native-order voxel array is
@@ -75,64 +77,56 @@ class UnsupportedVariantError(MhaError):
 
 @dataclass
 class MhaHeader:
-    ndims: int
-    dim_size: list[int]
-    element_type: str
+    """The fields a volume's voxels do not give; its NDims, DimSize and
+    ElementType are ``voxels.ndim``, ``voxels.shape[::-1]`` and ``voxels.dtype``."""
+
     element_spacing: list[float]
     offset: list[float]
     transform_matrix: list[float]
     compressed: bool = False
     raw_fields: dict[str, str] = field(default_factory=dict)
 
-    def validate(self):
-        if self.element_type not in ELEMENT_TYPES:
-            raise UnsupportedTypeError(f"unsupported ElementType {self.element_type!r}")
-        if not (1 <= self.ndims <= _MAX_NDIMS):
-            raise MalformedHeaderError(f"NDims {self.ndims} outside [1, {_MAX_NDIMS}]")
-        for name, vals, n in (("DimSize", self.dim_size, self.ndims),
-                              ("ElementSpacing", self.element_spacing, self.ndims),
-                              ("Offset", self.offset, self.ndims),
-                              ("TransformMatrix", self.transform_matrix, self.ndims ** 2)):
+    def validate(self, ndims: int, dim_size: list[int]):
+        """Check the header against the voxel geometry (NDims, DimSize) it describes."""
+        if not (1 <= ndims <= _MAX_NDIMS):
+            raise MalformedHeaderError(f"NDims {ndims} outside [1, {_MAX_NDIMS}]")
+        for name, vals, n in (("DimSize", dim_size, ndims),
+                              ("ElementSpacing", self.element_spacing, ndims),
+                              ("Offset", self.offset, ndims),
+                              ("TransformMatrix", self.transform_matrix, ndims ** 2)):
             if len(vals) != n:
                 raise MalformedHeaderError(f"{name} has {len(vals)} entries, expected {n}")
-        if any(d < 1 for d in self.dim_size):
-            raise MalformedHeaderError(f"DimSize entries must be positive, got {self.dim_size}")
+        if any(d < 1 for d in dim_size):
+            raise MalformedHeaderError(f"DimSize entries must be positive, got {dim_size}")
 
-    def voxel_count(self) -> int:
-        return math.prod(self.dim_size)
+
+def _element_type(dtype: np.dtype) -> str:
+    if dtype not in _DTYPE_TO_ELEMENT:
+        raise UnsupportedTypeError(f"no MET_* element type for dtype {dtype}")
+    return _DTYPE_TO_ELEMENT[dtype]
 
 
 @dataclass
 class Volume:
-    """A decoded image: header plus voxels in (..., z, y, x) C-order."""
+    """A decoded image: header plus voxels in (..., z, y, x) C-order. The
+    voxels alone give the volume's shape and element type."""
 
     header: MhaHeader
     voxels: np.ndarray
-
-    def __post_init__(self):
-        if self.voxels.size != self.header.voxel_count():
-            raise MhaError(f"voxel count {self.voxels.size} != header product "
-                           f"{self.header.voxel_count()}")
 
     @staticmethod
     def from_array(voxels: np.ndarray, spacing=None, offset=None) -> "Volume":
         """Wrap an array (shape read as (..., z, y, x)) with a minimal header."""
         arr = np.ascontiguousarray(voxels)
-        if arr.dtype not in _DTYPE_TO_ELEMENT:
-            raise UnsupportedTypeError(f"no MET_* element type for dtype {arr.dtype}")
+        _element_type(arr.dtype)
         ndims = arr.ndim
-        dims = list(arr.shape[::-1])
         header = MhaHeader(
-            ndims=ndims,
-            dim_size=dims,
-            element_type=_DTYPE_TO_ELEMENT[arr.dtype],
             element_spacing=[1.0] * ndims if spacing is None else list(spacing),
             offset=[0.0] * ndims if offset is None else list(offset),
             transform_matrix=np.eye(ndims).reshape(-1).tolist(),
-            compressed=False,
             raw_fields={"ObjectType": "Image"},
         )
-        header.validate()
+        header.validate(ndims, list(arr.shape[::-1]))
         return Volume(header=header, voxels=arr)
 
 
@@ -203,9 +197,9 @@ def _read_header(f):
                 f"more than {_MAX_HEADER_FIELDS} header fields before ElementDataFile")
 
 
-def _parse_fields(fields: dict[str, str]) -> tuple[MhaHeader, np.dtype]:
-    """Validate the header fields; return the header and the payload's dtype
-    (byte order as stored)."""
+def _parse_fields(fields: dict[str, str]) -> tuple[MhaHeader, list[int], np.dtype]:
+    """Validate the header fields; return the header, DimSize and the
+    payload's dtype (byte order as stored)."""
     for required in ("ObjectType", "NDims", "DimSize", "ElementType"):
         if required not in fields:
             raise MalformedHeaderError(f"missing required header key {required!r}")
@@ -221,10 +215,8 @@ def _parse_fields(fields: dict[str, str]) -> tuple[MhaHeader, np.dtype]:
     if not (1 <= ndims <= _MAX_NDIMS):
         raise MalformedHeaderError(f"NDims {ndims} outside [1, {_MAX_NDIMS}]")
 
+    dim_size = _parse_ints(fields["DimSize"], "DimSize")
     header = MhaHeader(
-        ndims=ndims,
-        dim_size=_parse_ints(fields["DimSize"], "DimSize"),
-        element_type=fields["ElementType"],
         element_spacing=(_parse_floats(fields["ElementSpacing"], "ElementSpacing")
                          if "ElementSpacing" in fields else [1.0] * ndims),
         offset=(_parse_floats(fields["Offset"], "Offset")
@@ -237,11 +229,14 @@ def _parse_fields(fields: dict[str, str]) -> tuple[MhaHeader, np.dtype]:
         raw_fields={k: v for k, v in fields.items() if k not in _CONSUMED_KEYS
                     or k == "ObjectType"},
     )
-    header.validate()
+    element_type = fields["ElementType"]
+    if element_type not in ELEMENT_TYPES:
+        raise UnsupportedTypeError(f"unsupported ElementType {element_type!r}")
+    header.validate(ndims, dim_size)
 
     big_endian = ("BinaryDataByteOrderMSB" in fields
                   and _parse_bool(fields["BinaryDataByteOrderMSB"], "BinaryDataByteOrderMSB"))
-    return header, np.dtype((">" if big_endian else "<") + ELEMENT_TYPES[header.element_type])
+    return header, dim_size, np.dtype((">" if big_endian else "<") + ELEMENT_TYPES[element_type])
 
 
 def _inflate_into(f, out: memoryview) -> int:
@@ -268,12 +263,12 @@ def _read(f) -> Volume:
     """Decode the .mha held in seekable binary stream ``f``. Voxel bytes go
     from the stream straight into the native-order array: one copy."""
     fields, start = _read_header(f)
-    header, stored = _parse_fields(fields)
-    count = header.voxel_count()
+    header, dim_size, stored = _parse_fields(fields)
+    count = math.prod(dim_size)
     expected = count * stored.itemsize
     if expected > _MAX_VOXEL_BYTES:
         raise MalformedHeaderError(
-            f"DimSize {header.dim_size} implies a {expected}-byte payload "
+            f"DimSize {dim_size} implies a {expected}-byte payload "
             f"(limit {_MAX_VOXEL_BYTES})")
     if not header.compressed:
         length = f.seek(0, io.SEEK_END) - start
@@ -283,7 +278,7 @@ def _read(f) -> Volume:
         voxels = np.empty(count, dtype=stored.newbyteorder("="))
     except MemoryError:
         raise MalformedHeaderError(
-            f"DimSize {header.dim_size} implies a {expected}-byte payload, "
+            f"DimSize {dim_size} implies a {expected}-byte payload, "
             "more than can be allocated") from None
 
     out = memoryview(voxels).cast("B")
@@ -299,7 +294,7 @@ def _read(f) -> Volume:
             raise TruncatedPayloadError(f"payload is {filled} bytes, expected {expected}")
     if not stored.isnative:
         voxels.byteswap(inplace=True)
-    return Volume(header=header, voxels=voxels.reshape(header.dim_size[::-1]))
+    return Volume(header=header, voxels=voxels.reshape(dim_size[::-1]))
 
 
 def _fmt_floats(vals) -> str:
@@ -327,20 +322,18 @@ def write_mha(volume: Volume, compress: bool = False) -> bytes:
     as is a header with more fields than the reader accepts.
     """
     header = volume.header
-    header.validate()
-    base = ELEMENT_TYPES[header.element_type]
     arr = np.ascontiguousarray(volume.voxels)
-    if arr.dtype != np.dtype(base):
-        raise MhaError(f"voxel dtype {arr.dtype} does not match ElementType "
-                       f"{header.element_type}")
-    payload = arr.astype("<" + base, copy=False).tobytes()
+    element_type = _element_type(arr.dtype)
+    dim_size = list(arr.shape[::-1])
+    header.validate(arr.ndim, dim_size)
+    payload = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
     if compress:
         payload = zlib.compress(payload, 6)
 
     lines = [_raw_line("ObjectType", header.raw_fields.get("ObjectType", "Image")),
-             f"NDims = {header.ndims}",
-             f"DimSize = {' '.join(str(d) for d in header.dim_size)}",
-             f"ElementType = {header.element_type}",
+             f"NDims = {arr.ndim}",
+             f"DimSize = {' '.join(str(d) for d in dim_size)}",
+             f"ElementType = {element_type}",
              f"ElementSpacing = {_fmt_floats(header.element_spacing)}",
              f"Offset = {_fmt_floats(header.offset)}",
              f"TransformMatrix = {_fmt_floats(header.transform_matrix)}",
@@ -367,15 +360,18 @@ def read_mha_file(path: str) -> Volume:
 def write_whole(path: str, write) -> None:
     """The package's one file writer: ``write(f)`` fills ``path + ".tmp"`` opened
     ``"wb"``, which then replaces ``path`` whole; on any error the temporary is
-    removed and the error re-raised, so ``path`` keeps its previous bytes."""
+    removed and the error re-raised, so ``path`` keeps its previous bytes. An
+    ``OSError`` names ``path``, not the temporary."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
             write(f)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, path) from e
         raise
 
 

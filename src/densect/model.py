@@ -64,13 +64,17 @@ class DenseNetConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
-        if len(self.block_layers) != 4 or any(b < 1 for b in self.block_layers):
+        # a size or depth is an int: not a bool or a float, even one that is whole
+        if len(self.block_layers) != 4 or any(type(b) is not int or b < 1
+                                              for b in self.block_layers):
             raise ValueError(f"block_layers must be 4 positive ints, got {self.block_layers}")
         if not (0.0 < self.compression <= 1.0):
             raise ValueError(f"compression must be in (0, 1], got {self.compression}")
-        if min(self.growth_rate, self.init_channels, self.bottleneck_factor,
-               self.input_channels, self.input_size, self.num_outputs) < 1:
-            raise ValueError("all size fields must be positive")
+        for name in ("growth_rate", "init_channels", "bottleneck_factor", "input_channels",
+                     "input_size", "num_outputs"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         if not (0.0 < self.bn_momentum <= 1.0):
             raise ValueError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
         if not (math.isfinite(self.bn_eps) and self.bn_eps > 0.0):

@@ -274,7 +274,7 @@ def test_criterion_6_mha_round_trip_and_fuzz():
                                     offset=[float(x) for x in rng.normal(0, 50, 3)])
             back = read_mha(write_mha(vol, compress=bool(i % 2)))
             npt.assert_array_equal(back.voxels, arr)
-            assert back.header.element_type == et
+            assert back.voxels.dtype == dt
             npt.assert_allclose(back.header.element_spacing,
                                 vol.header.element_spacing)
 

@@ -13,6 +13,7 @@ import pytest
 import densect
 from densect import cli
 from densect.cli import _PREPROCESS_KEYS, _SCHEMA, _build_parser, _resolve, _train_config, main
+from densect.data import _MAX_LINE
 from densect.mha import Volume, read_mha_file, write_mha_file
 from densect.model import DENSENET121, REDUCED, DenseNetModel, feature_map_plan
 from densect.training import (DivergenceError, EpochMetrics, EvalResult, PatientEval,
@@ -158,7 +159,7 @@ def test_config_file_that_is_not_utf8_is_usage_error_naming_it(tmp_path, capsys)
     cfg.write_bytes(b"# caf\xe9\nepochs = 2\n")
     code, _, err = run_cli(capsys, "train", "--data", "x", "--out", "y", "--config", str(cfg))
     assert code == 1
-    assert err.startswith(f"error: {cfg}: not UTF-8: ")
+    assert err == f"error: {cfg}:1: byte 0xe9 is not UTF-8\n"
 
 
 @pytest.mark.parametrize("command, text, line, key", [
@@ -387,6 +388,54 @@ def test_an_endless_input_stream_is_data_error(trained, capsys):
     assert err == "error: /dev/zero: header line at offset 0 reaches 65536 bytes\n"
 
 
+@pytest.mark.parametrize("command, code", [("config", 1), ("reference", 2), ("metrics", 1)])
+def test_an_endless_text_line_is_refused_naming_line_one(command, code, tmp_path, capsys):
+    # /dev/zero is one line that never ends; each text reader stops at its limit
+    data, out = tmp_path / "ds", tmp_path / "o"
+    data.mkdir()
+    if command == "reference":
+        (data / "reference.csv").symlink_to("/dev/zero")
+    argv = {"config": ["train", "--data", str(data), "--out", str(out), "--config", "/dev/zero"],
+            "reference": ["train", "--data", str(data), "--out", str(out)],
+            "metrics": ["curves", "--metrics", "/dev/zero", "--out-dir", str(out)]}[command]
+    path = data / "reference.csv" if command == "reference" else "/dev/zero"
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code
+    assert err == f"error: {path}:1: line reaches {_MAX_LINE} characters\n"
+    assert not out.exists()
+
+
+def test_a_report_that_cannot_be_written_names_its_path(dataset, trained, tmp_path, capsys):
+    report = tmp_path / "no" / "such" / "r.csv"
+    code, _, err = run_cli(capsys, "evaluate", "--data", str(dataset), "--report", str(report),
+                           "--checkpoint", str(trained / "final.ckpt"))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{report}'\n"
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    (b'"growth_rate": 8', b'"growth_rate": 8.0'),
+    (b'"block_layers": [1, 2, 2, 1]', b'"block_layers": [1, 2.0, 2, 1]'),
+    (b'"num_outputs": 2', b'"num_outputs": true'),
+    (b'"input_size": 32', b'"input_size": 32.5'),
+], ids=["float-growth-rate", "float-depth", "bool-outputs", "fractional-input-size"])
+def test_predict_with_a_size_that_is_not_an_int_is_data_error(old, new, dataset, trained,
+                                                              tmp_path, capsys):
+    buf = (trained / "final.ckpt").read_bytes()
+    cfg_len = int.from_bytes(buf[12:16], "little")
+    cfg = buf[16:16 + cfg_len].replace(old, new)
+    assert cfg != buf[16:16 + cfg_len]
+    ckpt = tmp_path / "not_int.ckpt"
+    ckpt.write_bytes(buf[:12] + len(cfg).to_bytes(4, "little") + cfg + buf[16 + cfg_len:])
+    code, out, err = run_cli(capsys, "predict", "--input", str(dataset / "data" / "synth001.mha"),
+                             "--checkpoint", str(ckpt))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {ckpt}: bad embedded config: ")
+    assert "must be" in err and "positive int" in err
+
+
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     ckpt = tmp_path / "junk.ckpt"
     ckpt.write_bytes(b"\x00" * 64)
@@ -486,7 +535,6 @@ def test_predict_on_a_volume_that_would_score_nan_is_data_error(fault, message, 
             voxels = vol.voxels.astype(np.float32)
             voxels[2, 5, 7] = np.nan
             vol = Volume(header=vol.header, voxels=voxels)
-            vol.header.element_type = "MET_FLOAT"
         write_mha_file(str(path), vol)
     code, out, err = run_cli(capsys, "predict", "--input", str(path),
                              "--checkpoint", str(trained / "final.ckpt"))

@@ -1,6 +1,7 @@
 """Dataset layer tests: reference parsing, splits, batching, synthesis."""
 
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densect.data import (
+    _MAX_LINE,
     Batch,
     DataError,
     DatasetSplit,
@@ -18,6 +20,7 @@ from densect.data import (
     batches,
     load_reference,
     load_study_image,
+    read_lines,
     split,
     synth_generate,
 )
@@ -128,6 +131,19 @@ def fake_records(n):
             for i in range(n)]
 
 
+def test_read_lines_refuses_a_line_that_reaches_the_limit(tmp_path):
+    # the limit counts characters, the line break included
+    path = tmp_path / "t.txt"
+    longest = "é" * (_MAX_LINE - 3) + "\r\n"
+    path.write_bytes(("# first\n" + longest + "x" * (_MAX_LINE - 1) + "\n").encode())
+    lines = read_lines(str(path), ReferenceFormatError)
+    assert next(lines) == "# first\n"
+    assert next(lines) == longest
+    with pytest.raises(ReferenceFormatError,
+                       match=f"^{re.escape(str(path))}:3: line reaches {_MAX_LINE} characters$"):
+        next(lines)
+
+
 def test_split_partitions_exactly():
     records = fake_records(17)
     s = split(records, val_count=5, seed=3)
@@ -192,7 +208,7 @@ def test_synth_volumes_are_lung_like_int16(tmp_path):
     records = synth_generate(4, str(tmp_path), seed=2, image_size=32, depth=4)
     for r in records:
         vol = read_mha_file(r.volume_path)
-        assert vol.header.element_type == "MET_SHORT"
+        assert vol.voxels.dtype == np.int16
         assert vol.voxels.shape == (4, 32, 32)
         # background sits near -800 HU
         assert -900 < np.median(vol.voxels) < -700

@@ -25,7 +25,6 @@ from densect.mha import (
     ELEMENT_TYPES,
     MalformedHeaderError,
     MhaError,
-    MhaHeader,
     TruncatedPayloadError,
     UnsupportedTypeError,
     UnsupportedVariantError,
@@ -46,9 +45,7 @@ MINIMAL = (b"ObjectType = Image\n"
 
 def test_minimal_header_hand_frozen():
     vol = read_mha(MINIMAL + bytes([1, 2, 3, 4]))
-    assert vol.header.ndims == 3
-    assert vol.header.dim_size == [2, 2, 1]
-    assert vol.header.element_type == "MET_UCHAR"
+    assert vol.voxels.dtype == np.uint8
     assert not vol.header.compressed
     # x-fastest storage -> internal (z, y, x)
     assert vol.voxels.shape == (1, 2, 2)
@@ -199,8 +196,8 @@ def test_round_trip_bit_exact(element_type, compress):
     rng = np.random.default_rng(hash(element_type) % 2**32 + compress)
     vol = _random_volume(rng, element_type)
     out = read_mha(write_mha(vol, compress=compress))
-    assert out.header.element_type == element_type
-    assert out.header.dim_size == vol.header.dim_size
+    assert out.voxels.dtype == np.dtype(ELEMENT_TYPES[element_type])
+    assert out.voxels.shape == vol.voxels.shape
     assert out.header.element_spacing == vol.header.element_spacing
     assert out.header.offset == vol.header.offset
     assert out.header.transform_matrix == vol.header.transform_matrix
@@ -247,6 +244,34 @@ def test_writer_drops_raw_fields_under_keys_the_reader_interprets():
     out = read_mha(data)
     npt.assert_array_equal(out.voxels, [1, 2])
     assert out.header.raw_fields == {"ObjectType": "Image"}
+
+
+def test_new_voxels_write_their_own_type_and_shape_under_the_read_header():
+    arr = np.arange(-12, 12, dtype=np.int16).reshape(2, 3, 4)
+    data = _stored(arr).replace(b"ElementDataFile", b"RescaleIntercept = -1024\nElementDataFile")
+    vol = read_mha(data)
+    voxels = (vol.voxels.reshape(4, 3, 2).astype(np.float32) + np.float32(0.5)) / np.float32(3)
+    out = read_mha(write_mha(Volume(header=vol.header, voxels=voxels)))
+    assert b"ElementType = MET_FLOAT\n" in write_mha(out)
+    assert out.voxels.dtype == np.float32 and out.voxels.shape == (4, 3, 2)
+    assert out.voxels.tobytes() == voxels.tobytes()
+    assert out.header.raw_fields == {"ObjectType": "Image", "RescaleIntercept": "-1024"}
+
+
+@pytest.mark.parametrize("attr, message", [
+    ("element_spacing", "ElementSpacing has 1 entries, expected 2"),
+    ("offset", "Offset has 1 entries, expected 2"),
+    ("transform_matrix", "TransformMatrix has 3 entries, expected 4"),
+    ("voxels", "ElementSpacing has 2 entries, expected 3"),
+])
+def test_writer_refuses_a_header_that_does_not_fit_the_voxels(attr, message):
+    vol = Volume.from_array(np.zeros((2, 3), dtype=np.uint8))
+    if attr == "voxels":
+        vol.voxels = vol.voxels[None]   # three dims; the header's lists are for two
+    else:
+        setattr(vol.header, attr, getattr(vol.header, attr)[1:])
+    with pytest.raises(MalformedHeaderError, match=f"^{message}$"):
+        write_mha(vol)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -595,11 +620,12 @@ def test_from_array_rejects_unsupported_dtype():
         Volume.from_array(np.zeros(3, dtype=np.int64))
 
 
-def test_volume_count_mismatch_rejected():
-    header = MhaHeader(ndims=1, dim_size=[5], element_type="MET_UCHAR",
-                       element_spacing=[1.0], offset=[0.0], transform_matrix=[1.0])
-    with pytest.raises(MhaError):
-        Volume(header=header, voxels=np.zeros(3, dtype=np.uint8))
+@pytest.mark.parametrize("dtype", ["<i8", ">i4", "?"])
+def test_writer_rejects_voxels_with_no_element_type(dtype):
+    vol = Volume.from_array(np.zeros(3, dtype=np.int32))
+    vol.voxels = vol.voxels.astype(dtype)
+    with pytest.raises(UnsupportedTypeError, match="no MET_\\* element type for dtype"):
+        write_mha(vol)
 
 
 # ---------------------------------------------------------------------------
